@@ -44,7 +44,6 @@ from .splitting import (
     AffineConstraint,
     InnerSolverConfig,
     ProxDescriptor,
-    SplittingTrace,
     accelerated_prox_multipliers,
     accelerated_saddle_ppm,
     admm,

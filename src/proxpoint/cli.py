@@ -3,13 +3,12 @@ certificate report as CSV.
 
 Configuration is flags-only. Exit codes: 0 on success, 1 on a
 configuration error, 2 on a numerical failure (singular resolvent
-system or inner-solver cap). Output is byte-identical across reruns of
-the same configuration.
+system, inner-solver cap, or a run that diverged to a non-finite value).
+Output is byte-identical across reruns of the same configuration.
 """
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +89,8 @@ class RunConfig:
                 raise ConfigError(f"--{name} must be positive")
         if self.restart is not None and self.restart < 1:
             raise ConfigError("--restart must be at least 1")
+        if self.restart is not None and self.adaptive_restart:
+            raise ConfigError("--restart and --adaptive-restart are exclusive")
 
     def restart_intervals(self):
         """Intervals to run for the ``restarted`` method."""
@@ -129,7 +130,8 @@ def _expand_methods(config):
     return tasks
 
 
-def _trace_rows(experiment, label, trace, infeas=None, gaps=None):
+def _trace_rows(experiment, label, trace):
+    infeas, gaps = trace.infeasibility, trace.gaps
     rows = []
     for j, i in enumerate(trace.iterations):
         rows.append((
@@ -156,16 +158,14 @@ def _run_operator_experiment(config):
     def run(task):
         label, variant, interval = task
         if interval is not None or label == "adaptive-restart":
-            trace = mt.restarted(resolvent, x0, interval, config.iters,
-                                 adaptive=interval is None, R=radius)
-        elif variant == "plain":
-            trace = mt.ppm(resolvent, x0, config.iters, R=radius)
-        elif variant == "proposed":
-            trace = mt.accelerated_ppm(resolvent, x0, config.iters, R=radius)
-        else:
-            trace = mt.guler("first" if variant == "guler1" else "second",
-                             resolvent, x0, config.iters)
-        return label, _trace_rows(config.experiment, label, trace), trace.restarts
+            return mt.restarted(resolvent, x0, interval, config.iters,
+                                adaptive=interval is None, R=radius)
+        if variant == "plain":
+            return mt.ppm(resolvent, x0, config.iters, R=radius)
+        if variant == "proposed":
+            return mt.accelerated_ppm(resolvent, x0, config.iters, R=radius)
+        return mt.guler("first" if variant == "guler1" else "second",
+                        resolvent, x0, config.iters)
 
     return meta, run
 
@@ -184,13 +184,11 @@ def _run_saddle_experiment(config):
 
     def run(task):
         label, variant, interval = task
-        adaptive = label == "adaptive-restart"
-        trace = sp.accelerated_saddle_ppm(
+        return sp.accelerated_saddle_ppm(
             phi, lam, u0, v0, config.iters, variant=variant,
-            restart_interval=interval, adaptive_restart=adaptive,
+            restart_interval=interval,
+            adaptive_restart=label == "adaptive-restart",
             saddle=saddle, R=1.0)
-        return (label, _trace_rows(config.experiment, label, trace, gaps=trace.gaps),
-                trace.restarts)
 
     return meta, run
 
@@ -218,9 +216,8 @@ def _run_prox_mult_experiment(config):
 
     def run(task):
         label, variant, interval = task
-        trace = engine(variant, interval, label == "adaptive-restart",
-                       config.iters, radius)
-        return label, _trace_rows(config.experiment, label, trace), trace.restarts
+        return engine(variant, interval, label == "adaptive-restart",
+                      config.iters, radius)
 
     return meta, run
 
@@ -256,9 +253,8 @@ def _run_pdhg_experiment(config):
 
     def run(task):
         label, variant, interval = task
-        trace = engine(variant, interval, label == "adaptive-restart",
-                       config.iters, radius)
-        return label, _trace_rows(config.experiment, label, trace), trace.restarts
+        return engine(variant, interval, label == "adaptive-restart",
+                      config.iters, radius)
 
     return meta, run
 
@@ -293,11 +289,8 @@ def _run_admm_experiment(config):
 
     def run(task):
         label, variant, interval = task
-        trace = engine(variant == "proposed", interval,
-                       label == "adaptive-restart", config.iters, radius)
-        return (label,
-                _trace_rows(config.experiment, label, trace, infeas=trace.infeasibility),
-                trace.restarts)
+        return engine(variant == "proposed", interval,
+                      label == "adaptive-restart", config.iters, radius)
 
     return meta, run
 
@@ -326,8 +319,8 @@ def _run_cert(config):
 def run_experiment(config):
     """Run one experiment and write its CSV to ``config.out``.
 
-    Figure experiments dispatch independent method runs on a thread
-    pool and write the buffered rows in the configured method order.
+    Figure experiments run their methods one after another, in the
+    configured method order, and write the buffered rows at the end.
     """
     if config.experiment == "cert":
         lines = _run_cert(config)
@@ -335,16 +328,16 @@ def run_experiment(config):
         tasks = _expand_methods(config)
         meta, run = _RUNNERS[config.experiment.split("-")[0]](config)
         labels = [t[0] for t in tasks]
-        with ThreadPoolExecutor(max_workers=min(4, len(tasks))) as pool:
-            results = list(pool.map(run, tasks))
+        traces = [run(t) for t in tasks]
         lines = [f"# experiment={config.experiment} methods={'|'.join(labels)}"]
         lines += meta
-        for label, _, restarts in results:
-            if restarts:
-                lines.append(f"# restarts[{label}]={','.join(map(str, restarts))}")
+        for label, trace in zip(labels, traces):
+            if trace.restarts:
+                lines.append(f"# restarts[{label}]={','.join(map(str, trace.restarts))}")
         lines.append("experiment,method,iteration,residual,bound,infeasibility,gap")
-        for _, rows, _ in results:
-            lines += [",".join(row) for row in rows]
+        for label, trace in zip(labels, traces):
+            lines += [",".join(row)
+                      for row in _trace_rows(config.experiment, label, trace)]
     with open(config.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

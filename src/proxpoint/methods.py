@@ -3,7 +3,9 @@
 All engines consume a resolvent (any callable ``y -> x``) and return a
 :class:`ResidualTrace` holding the iterates, the squared fixed-point
 residuals ``||x_i - y_{i-1}||^2``, and, when the initial distance ``R``
-to a zero is known, the matching theoretical bound per iteration.
+to a zero is known, the matching theoretical bound per iteration. Every
+engine except :func:`general_ppm` runs on one momentum loop, which the
+splitting methods share.
 """
 
 import math
@@ -71,11 +73,17 @@ class StepCoeffs:
 class ResidualTrace:
     """Per-iteration record of a fixed-point iteration.
 
-    ``residuals[i-1]`` is ``||x_i - y_{i-1}||^2`` (plain PPM has
-    ``y_i = x_i``). ``xs`` stacks ``x_0..x_n`` and ``ys`` the points fed
-    to the resolvent, so ``ys[i-1]`` produced ``xs[i]``. ``restarts``
-    lists the global iteration indices after which the engine
-    re-initialized.
+    ``residuals[i-1]`` is the squared fixed-point residual of step ``i``,
+    ``||x_i - y_{i-1}||^2`` unless the engine measures it otherwise
+    (preconditioned for PDHG, ``rho^2 * infeasibility`` for ADMM); plain
+    runs have ``y_i = x_i``. ``xs`` stacks ``x_0..x_n`` and ``ys`` the
+    points fed to the step, so ``ys[i-1]`` produced ``xs[i]``.
+    ``restarts`` lists the global iteration indices after which the engine
+    re-initialized. ``gaps`` holds saddle gaps when a saddle point was
+    supplied and ``infeasibility`` the ADMM constraint violation
+    ``||A x_{i+1} + B z_i - c||^2``. ``iterates`` maps names to views of
+    the stacked iterates (``x`` and ``y`` always, plus the blocks an
+    engine splits its point into).
     """
 
     iterations: np.ndarray
@@ -84,6 +92,9 @@ class ResidualTrace:
     xs: np.ndarray
     ys: np.ndarray
     restarts: list = field(default_factory=list)
+    gaps: np.ndarray | None = None
+    infeasibility: np.ndarray | None = None
+    iterates: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.iterations)
@@ -130,9 +141,22 @@ class Momentum:
         return y
 
 
-def _run(resolvent, x0, iters, variant, interval=None, adaptive=False, bound=None):
-    """Shared engine: resolvent applications plus a momentum rule, with
-    optional fixed-interval and adaptive restarting."""
+def _euclidean_sq(x_new, y):
+    diff = x_new - y
+    return float(diff @ diff)
+
+
+def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
+             residual_sq=_euclidean_sq, gap=None):
+    """The one momentum loop: ``x_{i+1} = step(y_i)`` plus a momentum
+    rule, with optional fixed-interval and adaptive restarting.
+
+    ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)`` and ``gap``,
+    when given, scores each new iterate into ``gaps``. The bound column is
+    filled when ``R`` is known, the variant has a rate (``plain`` or
+    ``proposed``) and no restart can fire. A non-finite residual, iterate
+    or extrapolated point raises ``FloatingPointError``.
+    """
     if iters < 1:
         raise ValueError("iteration count must be at least 1")
     if interval is not None and interval < 1:
@@ -140,16 +164,19 @@ def _run(resolvent, x0, iters, variant, interval=None, adaptive=False, bound=Non
     x0 = as_vector(x0)
     mom = Momentum(variant)
     x = y = y_prev = x0
-    xs, ys, residuals, restarts = [x0], [], [], []
+    xs, ys, residuals, gaps, restarts = [x0], [], [], [], []
     since_restart = 0
     prev_res = None
     for g in range(1, iters + 1):
-        x_new = as_vector(resolvent(y))
-        diff = x_new - y
-        res = float(diff @ diff)
+        x_new = np.asarray(step(y), dtype=float)
+        res = residual_sq(x_new, y)
+        if not (math.isfinite(res) and np.isfinite(x_new).all()):
+            raise FloatingPointError(f"non-finite residual or iterate at iteration {g}")
         ys.append(y)
         xs.append(x_new)
         residuals.append(res)
+        if gap is not None:
+            gaps.append(gap(x_new))
         since_restart += 1
         do_restart = g < iters and (
             (interval is not None and since_restart >= interval)
@@ -162,12 +189,21 @@ def _run(resolvent, x0, iters, variant, interval=None, adaptive=False, bound=Non
             prev_res = None
         else:
             y_new = mom.update(x_new, x, y, y_prev)
+            if y_new is not x_new and not np.isfinite(y_new).all():
+                raise FloatingPointError(
+                    f"non-finite extrapolated point after iteration {g}")
             x, y_prev, y = x_new, y, y_new
             prev_res = res
     idx = np.arange(1, iters + 1)
-    bounds = None if bound is None else np.array([bound(i) for i in idx])
-    return ResidualTrace(idx, np.array(residuals), bounds,
-                         np.array(xs), np.array(ys), restarts)
+    rate = {"plain": ppm_rate_bound, "proposed": accelerated_rate_bound}.get(variant)
+    bounds = None
+    if (R is not None and rate is not None and not adaptive
+            and (interval is None or interval >= iters)):
+        bounds = np.array([rate(R, i) for i in idx])
+    xs, ys = np.array(xs), np.array(ys)
+    return ResidualTrace(idx, np.array(residuals), bounds, xs, ys, restarts,
+                         gaps=np.array(gaps) if gap is not None else None,
+                         iterates={"x": xs, "y": ys})
 
 
 def ppm_rate_bound(R, i):
@@ -199,8 +235,7 @@ def ppm(resolvent, x0, iters, R=None):
     -------
     ResidualTrace
     """
-    bound = None if R is None else (lambda i: ppm_rate_bound(R, i))
-    return _run(resolvent, x0, iters, "plain", bound=bound)
+    return _iterate(resolvent, x0, iters, "plain", R=R)
 
 
 def general_ppm(resolvent, coeffs, y0, iters):
@@ -239,8 +274,7 @@ def accelerated_ppm(resolvent, x0, iters, R=None):
     ``y_{i+1} = x_{i+1} + i/(i+2) (x_{i+1} - x_i) - i/(i+2) (x_i -
     y_{i-1})``; the residual obeys ``||x_i - y_{i-1}||^2 <= R^2 / i^2``.
     """
-    bound = None if R is None else (lambda i: accelerated_rate_bound(R, i))
-    return _run(resolvent, x0, iters, "proposed", bound=bound)
+    return _iterate(resolvent, x0, iters, "proposed", R=R)
 
 
 def guler(variant, resolvent, x0, iters):
@@ -254,7 +288,7 @@ def guler(variant, resolvent, x0, iters):
     names = {"first": "guler1", "second": "guler2"}
     if variant not in names:
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
-    return _run(resolvent, x0, iters, names[variant])
+    return _iterate(resolvent, x0, iters, names[variant])
 
 
 def restarted(resolvent, x0, interval, iters, adaptive=False, R=None):
@@ -269,11 +303,8 @@ def restarted(resolvent, x0, interval, iters, adaptive=False, R=None):
     """
     if interval is None and not adaptive:
         raise ValueError("a restart interval is required unless adaptive=True")
-    bound = None
-    if R is not None and interval is not None and interval >= iters and not adaptive:
-        bound = lambda i: accelerated_rate_bound(R, i)
-    return _run(resolvent, x0, iters, "proposed", interval=interval,
-                adaptive=adaptive, bound=bound)
+    return _iterate(resolvent, x0, iters, "proposed", interval=interval,
+                    adaptive=adaptive, R=R)
 
 
 def optimal_restart_interval(lam, mu, mode="operator"):
@@ -307,4 +338,4 @@ def forward_method(operator, beta, y0, iters):
     def step(y):
         return y - beta * np.asarray(operator(y))
 
-    return _run(step, y0, iters, "plain")
+    return _iterate(step, y0, iters, "plain")

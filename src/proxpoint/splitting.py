@@ -2,26 +2,27 @@
 the saddle-point solver, the proximal method of multipliers, PDHG,
 Douglas-Rachford, and ADMM, plus the proximal building blocks they need.
 
-Each engine supports the plain iteration, the accelerated update with
-the correction term, the two inertia-only variants where meaningful, and
-fixed-interval or adaptive restarting. Traces carry squared fixed-point
-residuals (preconditioned for PDHG), constraint infeasibility for ADMM,
-and saddle gaps when a saddle point is supplied.
+Each engine is a step on a stacked point run by the shared momentum loop
+of :mod:`proxpoint.methods`, so every one supports the plain iteration,
+the accelerated update with the correction term, the two inertia-only
+variants where meaningful, and fixed-interval or adaptive restarting.
+They return a :class:`~proxpoint.methods.ResidualTrace` with squared
+fixed-point residuals (preconditioned for PDHG), constraint
+infeasibility for ADMM, and saddle gaps when a saddle point is supplied.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_solve
 
-from .methods import Momentum, accelerated_rate_bound, ppm_rate_bound
+from .methods import _iterate
 from .operators import InnerSolverError, _factor, as_vector
 
 __all__ = [
     "InnerSolverConfig",
     "ProxDescriptor",
     "AffineConstraint",
-    "SplittingTrace",
     "soft_threshold",
     "difference_matrix",
     "operator_norm",
@@ -189,30 +190,6 @@ class AffineConstraint:
         return self.A @ x + self.B @ z - self.c
 
 
-@dataclass
-class SplittingTrace:
-    """Per-iteration record of a splitting run.
-
-    ``residuals`` holds the squared fixed-point residual of the
-    underlying proximal point iteration (preconditioned for PDHG,
-    ``rho^2 * infeasibility`` for ADMM). ``infeasibility`` is
-    ``||A x_{i+1} + B z_i - c||^2`` on ADMM runs and ``gaps`` the saddle
-    gaps when a saddle point was supplied. ``iterates`` maps names to
-    stacked per-iteration arrays.
-    """
-
-    iterations: np.ndarray
-    residuals: np.ndarray
-    bounds: np.ndarray | None = None
-    infeasibility: np.ndarray | None = None
-    gaps: np.ndarray | None = None
-    restarts: list = field(default_factory=list)
-    iterates: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.iterations)
-
-
 def fista_strongly_convex(quadratic_part, l1_weight, x_init, tol=1e-10, max_iters=5000):
     """Constant-momentum proximal gradient for
     ``x'Qx/2 + q'x + l1_weight * ||x||_1`` with ``Q >= m I``.
@@ -269,73 +246,9 @@ def fista_strongly_convex(quadratic_part, l1_weight, x_init, tol=1e-10, max_iter
     raise InnerSolverError("inner solver cap hit", min(best, norm), tol)
 
 
-def _variant_bound(variant, restart_interval, adaptive, R):
-    if R is None or restart_interval is not None or adaptive:
-        return None
-    if variant == "proposed":
-        return lambda i: accelerated_rate_bound(R, i)
-    if variant == "plain":
-        return lambda i: ppm_rate_bound(R, i)
-    return None
-
-
-def _accelerated_loop(step, x0, iters, variant, restart_interval, adaptive,
-                      residual_sq, extra=None):
-    """Generic accelerated fixed-point loop shared by the splitting engines.
-
-    ``step`` maps an extrapolated point to the next iterate,
-    ``residual_sq`` scores the displacement (Euclidean or weighted), and
-    ``extra`` may record one additional per-iteration quantity.
-    """
-    if iters < 1:
-        raise ValueError("iteration count must be at least 1")
-    if restart_interval is not None and restart_interval < 1:
-        raise ValueError("restart interval must be at least 1")
-    mom = Momentum(variant)
-    x = y = y_prev = as_vector(x0)
-    xs, ys, residuals, extras, restarts = [x], [], [], [], []
-    since_restart = 0
-    prev_res = None
-    for g in range(1, iters + 1):
-        x_new = step(y)
-        res = residual_sq(x_new, y)
-        xs.append(x_new)
-        ys.append(y)
-        residuals.append(res)
-        if extra is not None:
-            extras.append(extra(x_new))
-        since_restart += 1
-        do_restart = g < iters and (
-            (restart_interval is not None and since_restart >= restart_interval)
-            or (adaptive and prev_res is not None and res > prev_res))
-        if do_restart:
-            mom.reset()
-            x = y = y_prev = x_new
-            restarts.append(g)
-            since_restart = 0
-            prev_res = None
-        else:
-            y_new = mom.update(x_new, x, y, y_prev)
-            x, y_prev, y = x_new, y, y_new
-            prev_res = res
-    return (np.array(xs), np.array(ys), np.array(residuals),
-            np.array(extras) if extra is not None else None, restarts)
-
-
-def _finish_trace(iters, xs, ys, residuals, restarts, bound_fn, gaps=None,
-                  infeasibility=None, iterates=None):
-    idx = np.arange(1, iters + 1)
-    bounds = None if bound_fn is None else np.array([bound_fn(i) for i in idx])
-    extra = dict(iterates or {})
-    extra.setdefault("x", xs)
-    extra.setdefault("y", ys)
-    return SplittingTrace(idx, residuals, bounds, infeasibility, gaps,
-                          restarts, extra)
-
-
-def _euclidean_sq(x_new, y):
-    diff = x_new - y
-    return float(diff @ diff)
+def _split_uv(trace, d1):
+    trace.iterates.update(u=trace.xs[:, :d1], v=trace.xs[:, d1:])
+    return trace
 
 
 def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
@@ -369,16 +282,13 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     resolvent = saddle_resolvent_map(phi, lam)
     d1, _ = phi.dims
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    extra = None
+    gap = None
     if saddle is not None:
         u_star, v_star = as_vector(saddle[0]), as_vector(saddle[1])
-        extra = lambda x: phi.gap(x[:d1], x[d1:], u_star, v_star)
-    xs, ys, residuals, gaps, restarts = _accelerated_loop(
-        resolvent, x0, iters, variant, restart_interval, adaptive_restart,
-        _euclidean_sq, extra)
-    bound_fn = _variant_bound(variant, restart_interval, adaptive_restart, R)
-    return _finish_trace(iters, xs, ys, residuals, restarts, bound_fn, gaps=gaps,
-                         iterates={"u": xs[:, :d1], "v": xs[:, d1:]})
+        gap = lambda x: phi.gap(x[:d1], x[d1:], u_star, v_star)
+    trace = _iterate(resolvent, x0, iters, variant, restart_interval,
+                     adaptive_restart, R, gap=gap)
+    return _split_uv(trace, d1)
 
 
 def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
@@ -445,12 +355,9 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
         return np.concatenate([u, v])
 
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    xs, ys, residuals, _, restarts = _accelerated_loop(
-        step, x0, iters, variant, restart_interval, adaptive_restart,
-        _euclidean_sq)
-    bound_fn = _variant_bound(variant, restart_interval, adaptive_restart, R)
-    return _finish_trace(iters, xs, ys, residuals, restarts, bound_fn,
-                         iterates={"u": xs[:, :d1], "v": xs[:, d1:]})
+    trace = _iterate(step, x0, iters, variant, restart_interval,
+                     adaptive_restart, R)
+    return _split_uv(trace, d1)
 
 
 def pdhg_preconditioner(k, tau, sigma):
@@ -497,11 +404,9 @@ def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed",
         return float(du @ du / tau - 2.0 * (dv @ (k @ du)) + dv @ dv / sigma)
 
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    xs, ys, residuals, _, restarts = _accelerated_loop(
-        step, x0, iters, variant, restart_interval, adaptive_restart, residual_sq)
-    bound_fn = _variant_bound(variant, restart_interval, adaptive_restart, R)
-    return _finish_trace(iters, xs, ys, residuals, restarts, bound_fn,
-                         iterates={"u": xs[:, :d1], "v": xs[:, d1:]})
+    trace = _iterate(step, x0, iters, variant, restart_interval,
+                     adaptive_restart, R, residual_sq=residual_sq)
+    return _split_uv(trace, d1)
 
 
 def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed",
@@ -520,12 +425,10 @@ def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed",
         j2 = as_vector(resolvent2(eta))
         return as_vector(resolvent1(2.0 * j2 - eta)) + eta - j2
 
-    xs, ys, residuals, _, restarts = _accelerated_loop(
-        step, nu0, iters, variant, restart_interval, adaptive_restart,
-        _euclidean_sq)
-    bound_fn = _variant_bound(variant, restart_interval, adaptive_restart, R)
-    return _finish_trace(iters, xs, ys, residuals, restarts, bound_fn,
-                         iterates={"nu": xs, "eta": ys})
+    trace = _iterate(step, nu0, iters, variant, restart_interval,
+                     adaptive_restart, R)
+    trace.iterates.update(nu=trace.xs, eta=trace.ys)
+    return trace
 
 
 def _admm_x_solver(f, constraint, rho, inner):
@@ -606,89 +509,50 @@ def admm(f, g, constraint, rho, x0, z0, nu0, iters, accelerate=True,
          restart_interval=None, adaptive_restart=False, R=None, inner=None):
     """Alternating direction method of multipliers, optionally accelerated.
 
-    Runs the hat-variable recursion equivalent to (accelerated)
-    Douglas-Rachford splitting on the dual inclusion: the x-update
-    minimizes the augmented Lagrangian at ``nu_hat``, the extrapolation
-    builds ``eta_hat`` from the last two dual iterates with the
-    ``rho A (x_{i+1} - x_i)`` corrections (plain ADMM keeps
-    ``eta_hat = nu_hat`` throughout), then the z-update and the dual
-    ascent step. Record ``i`` holds the infeasibility
+    ADMM is Douglas-Rachford splitting on the dual inclusion. One step
+    maps the stacked point ``(nu_hat_i, x_{i+1})`` to ``(nu_hat_{i+1},
+    x_{i+2})``: the z-update at the given point, the dual ascent step, then
+    the x-update minimizing the augmented Lagrangian at the new
+    ``nu_hat``. The affine map ``(nu_hat, x) -> nu_hat + rho (A x - c)``
+    takes this point to the dual Douglas-Rachford iterate, so extrapolating
+    the stacked point is the accelerated Douglas-Rachford update (plain
+    ADMM never extrapolates). Record ``i`` holds the infeasibility
     ``||A x_{i+1} + B z_i - c||^2``, whose ``rho^2`` multiple is the
     fixed-point residual of the underlying splitting iteration.
 
     Returns a trace whose ``iterates`` hold ``x`` (rows ``x_0 ..
-    x_{iters+1}``), ``z``, ``nu_hat`` and ``eta_hat``.
+    x_{iters+1}``), ``z``, ``nu_hat`` and ``eta_hat``, the multiplier
+    with ``eta_hat_i + rho (A x_{i+1} - c)`` equal to the extrapolated
+    dual point (``eta_hat = nu_hat`` on plain runs).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if iters < 1:
-        raise ValueError("iteration count must be at least 1")
-    if restart_interval is not None and restart_interval < 1:
-        raise ValueError("restart interval must be at least 1")
     inner = inner or InnerSolverConfig()
     solve_x = _admm_x_solver(f, constraint, rho, inner)
     solve_z = _admm_z_solver(g, constraint, rho, inner)
-    a_mat = constraint.A
+    x0, z0, nu0 = as_vector(x0), as_vector(z0), as_vector(nu0)
+    d2 = nu0.size
+    zs, infeas = [z0], []
 
-    x = as_vector(x0)
-    z = as_vector(z0)
-    nu_hat = as_vector(nu0)
-    x_prev = None
-    nu_hat_prev = None
-    eta_hat_prev = None
-    eta_hat_prev2 = None
-    local = 0
-    since_restart = 0
-    prev_infeas = None
-    xs, zs, nu_hats, eta_hats = [x], [z], [nu_hat], []
-    infeas, restarts = [], []
-    for g_iter in range(iters + 1):
-        x_new = solve_x(nu_hat, z)
-        xs.append(x_new)
-        if g_iter >= 1:
-            viol = constraint.residual(x_new, z)
-            infeas.append(float(viol @ viol))
-            since_restart += 1
-            do_restart = g_iter < iters and (
-                (restart_interval is not None and since_restart >= restart_interval)
-                or (adaptive_restart and prev_infeas is not None
-                    and infeas[-1] > prev_infeas))
-            if do_restart:
-                local = 0
-                since_restart = 0
-                prev_infeas = None
-                restarts.append(g_iter)
-            else:
-                prev_infeas = infeas[-1]
-        if g_iter == iters:
-            break
-        if accelerate and local >= 2:
-            w = (local - 1) / (local + 1)
-            eta_hat = (nu_hat
-                       + w * (nu_hat - nu_hat_prev + rho * (a_mat @ (x_new - x)))
-                       - w * (nu_hat_prev - eta_hat_prev2 + rho * (a_mat @ (x - x_prev))))
-        else:
-            eta_hat = nu_hat
-        z_new = solve_z(eta_hat, x_new)
-        nu_hat_new = eta_hat + rho * constraint.residual(x_new, z_new)
-        eta_hats.append(eta_hat)
-        zs.append(z_new)
-        nu_hats.append(nu_hat_new)
-        eta_hat_prev2, eta_hat_prev = eta_hat_prev, eta_hat
-        nu_hat_prev, nu_hat = nu_hat, nu_hat_new
-        x_prev, x = x, x_new
-        z = z_new
-        local += 1
-    idx = np.arange(1, iters + 1)
-    infeas = np.array(infeas)
-    residuals = rho * rho * infeas
-    bound_fn = None
-    if R is not None and restart_interval is None and not adaptive_restart:
-        # Bounds the residual column rho^2 * ||A x_{i+1} + B z_i - c||^2.
-        rate = accelerated_rate_bound if accelerate else ppm_rate_bound
-        bound_fn = lambda i: rate(R, i)
-    bounds = None if bound_fn is None else np.array([bound_fn(i) for i in idx])
-    return SplittingTrace(idx, residuals, bounds, infeas, None, restarts,
-                          {"x": np.array(xs), "z": np.array(zs),
-                           "nu_hat": np.array(nu_hats),
-                           "eta_hat": np.array(eta_hats)})
+    def step(s):
+        nu_hat, x = s[:d2], s[d2:]
+        z = solve_z(nu_hat, x)
+        nu_hat = nu_hat + rho * constraint.residual(x, z)
+        zs.append(z)
+        return np.concatenate([nu_hat, solve_x(nu_hat, z)])
+
+    def residual_sq(s_new, s):
+        viol = constraint.residual(s_new[d2:], zs[-1])
+        infeas.append(float(viol @ viol))
+        return rho * rho * infeas[-1]
+
+    start = np.concatenate([nu0, solve_x(nu0, z0)])
+    trace = _iterate(step, start, iters, "proposed" if accelerate else "plain",
+                     restart_interval, adaptive_restart, R,
+                     residual_sq=residual_sq)
+    xs, ys = trace.xs, trace.ys
+    trace.infeasibility = np.array(infeas)
+    trace.iterates.update(
+        x=np.vstack([x0, xs[:, d2:]]), z=np.array(zs), nu_hat=xs[:, :d2],
+        eta_hat=ys[:, :d2] + rho * (ys[:, d2:] - xs[:-1, d2:]) @ constraint.A.T)
+    return trace

@@ -145,3 +145,20 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2",
                           "--method", "ppm")
         assert code == 0
+
+
+class TestDivergenceAndRestartFlags:
+    @pytest.mark.parametrize("iters", ["2000", "20000"])
+    def test_diverging_run_exits_two_without_csv(self, tmp_path, iters):
+        with np.errstate(over="ignore"):
+            code, out = run_cli(tmp_path, "--experiment", "fig1",
+                                "--method", "guler1", "--iters", iters)
+        assert code == 2
+        assert not out.exists()
+
+    def test_fixed_and_adaptive_restart_are_exclusive(self, tmp_path):
+        code, out = run_cli(tmp_path, "--experiment", "fig2", "--iters", "60",
+                            "--method", "restarted", "--restart", "50",
+                            "--adaptive-restart")
+        assert code == 1
+        assert not out.exists()

@@ -217,3 +217,21 @@ class TestForwardMethod:
     def test_scalar_identity_operator(self):
         trace = forward_method(lambda y: y, 1.0, [3.0], 2)
         assert_allclose(trace.xs[1], [0.0])
+
+
+class TestDivergence:
+    def test_overflowing_residual_stops_the_run(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match=r"at iteration \d+"):
+                guler("first", rotation_resolvent(100), START, 2000)
+
+    def test_non_finite_iterate_stops_before_the_next_step(self):
+        calls = []
+
+        def resolvent(y):
+            calls.append(y)
+            return np.full(2, np.nan) if len(calls) == 3 else 0.5 * y
+
+        with pytest.raises(FloatingPointError, match="iteration 3"):
+            accelerated_ppm(resolvent, START, 10)
+        assert len(calls) == 3

@@ -444,3 +444,68 @@ class TestADMM:
                                          u0, v0, 5,
                                          inner=InnerSolverConfig(tol=1e-14,
                                                                  max_iters=1))
+
+
+class TestSharedEngine:
+    @pytest.mark.parametrize("restart", [{"restart_interval": 20},
+                                         {"adaptive_restart": True}])
+    def test_accelerated_admm_is_momentum_on_the_dual_point(self, restart):
+        # Accelerated ADMM extrapolates the dual Douglas-Rachford point
+        # w = nu_hat + rho (A x - c); drive that map by hand with Momentum.
+        inst, f, g, cons, x0, z0, nu0 = tv_setup()
+        rho, gamma, iters = 0.05, 3.0, 100
+        trace = admm(f, g, cons, rho, x0, z0, nu0, iters, accelerate=True,
+                     **restart)
+        h, b, d = inst["H"], inst["b"], inst["D"]
+        factors = lu_factor(h.T @ h + rho * (d.T @ d))
+
+        def solve_x(nu, z):
+            return lu_solve(factors, d.T @ (rho * z - nu) + h.T @ b)
+
+        def dual_step(w):
+            z = soft_threshold(w / rho, gamma / rho)
+            nu = w - rho * z
+            return nu + rho * (d @ solve_x(nu, z))
+
+        mom = Momentum("proposed")
+        w = y = y_prev = nu0 + rho * (d @ solve_x(nu0, z0))
+        restarts, prev_res, since = [], None, 0
+        dual = trace.iterates["nu_hat"] + rho * (trace.iterates["x"][1:] @ d.T)
+        for i in range(1, iters + 1):
+            w_new = dual_step(y)
+            res = float((w_new - y) @ (w_new - y))
+            assert np.max(np.abs(w_new - dual[i])) <= 1e-10
+            assert res == pytest.approx(trace.residuals[i - 1], rel=1e-10, abs=1e-20)
+            since += 1
+            if i < iters and (since == restart.get("restart_interval")
+                              or (restart.get("adaptive_restart")
+                                  and prev_res is not None and res > prev_res)):
+                mom.reset()
+                w = y = y_prev = w_new
+                restarts.append(i)
+                since, prev_res = 0, None
+            else:
+                y_new = mom.update(w_new, w, y, y_prev)
+                w, y_prev, y = w_new, y, y_new
+                prev_res = res
+        assert restarts and trace.restarts == restarts
+
+    def test_pdhg_interval_beyond_horizon_keeps_bound(self):
+        inst = bilinear_game_instance(10, 5, 1)
+        k = inst["K"]
+        tau = sigma = 0.9 / operator_norm(k)
+        f = ProxDescriptor.linear(inst["a"])
+        g = ProxDescriptor.linear(inst["b"])
+        trace = pdhg(f, g, k, tau, sigma, np.ones(10), np.ones(5), 30,
+                     restart_interval=30, R=2.0)
+        assert trace.restarts == []
+        assert_allclose(trace.bounds, 4.0 / trace.iterations.astype(float) ** 2,
+                        rtol=0, atol=0)
+
+    def test_saddle_interval_beyond_horizon_keeps_bound(self):
+        phi = toy_saddle(100, 1.0, 0.02)
+        trace = accelerated_saddle_ppm(phi, 1.0, [1.0], [0.0], 40,
+                                       restart_interval=50, R=1.0)
+        assert_allclose(trace.bounds, 1.0 / trace.iterations.astype(float) ** 2,
+                        rtol=0, atol=0)
+        assert np.all(trace.residuals <= trace.bounds * (1.0 + 1e-9))
