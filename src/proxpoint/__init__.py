@@ -59,6 +59,7 @@ from .problems import (
     ProblemInstance,
     SplitMix64,
     basis_pursuit_instance,
+    basis_pursuit_solution,
     bilinear_game_instance,
     load_instance,
     rotation_worst_case,

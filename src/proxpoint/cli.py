@@ -3,26 +3,33 @@ certificate report as CSV.
 
 Configuration is flags-only. Exit codes: 0 on success, 1 on a
 configuration error, 2 on a numerical failure (singular resolvent
-system, inner-solver cap, or a run that diverged to a non-finite value).
-Output is byte-identical across reruns of the same configuration.
+system, inner-solver cap, unsolved reference LP, or a run that diverged
+to a non-finite value). Output is byte-identical across reruns of the
+same configuration on one machine with a fixed BLAS thread count (for
+example ``OPENBLAS_NUM_THREADS=1``): BLAS splits its sums by thread, so
+another thread count can move the last digits of ``R`` and the residuals.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from . import methods as mt
 from . import splitting as sp
 from .operators import InnerSolverError, SingularSystemError, linear_resolvent
 from .pep_cert import verify_certificate
-from .problems import (PRESETS, basis_pursuit_instance, bilinear_game_instance,
-                       rotation_worst_case, toy_saddle, tv_instance)
+from .problems import (PRESETS, basis_pursuit_instance, basis_pursuit_solution,
+                       bilinear_game_instance, rotation_worst_case, toy_saddle,
+                       tv_instance)
 
 __all__ = ["RunConfig", "ConfigError", "run_experiment", "main"]
 
 ORACLE_ITERS = 10_000
+FIXED_POINT_TOL = 1e-9
 METHOD_NAMES = ("ppm", "accel", "guler1", "guler2", "restarted")
 DEFAULT_METHODS = {
     "fig1": ("ppm", "guler1", "accel"),
@@ -130,6 +137,20 @@ def _expand_methods(config):
     return tasks
 
 
+def _radius_line(radius, source, check):
+    """Header line for the bound radius ``R``; returns it with the ``R`` to
+    bound by, which is ``None`` when the reference point fails its check.
+
+    ``check`` is the root of the engine's own residual after one plain step
+    from the reference point: zero, up to rounding, at a true fixed point.
+    """
+    line = f"# R={_fmt(radius)} R_source={source} fixed_point_check={_fmt(check)}"
+    if check <= FIXED_POINT_TOL * max(1.0, radius):
+        return line, radius
+    return (line + f" bound=empty (fixed_point_check above"
+                   f" {FIXED_POINT_TOL:g}*max(1,R))"), None
+
+
 def _trace_rows(experiment, label, trace):
     infeas, gaps = trace.infeasibility, trace.gaps
     rows = []
@@ -202,17 +223,18 @@ def _run_prox_mult_experiment(config):
     f = sp.ProxDescriptor.l1(p["d1"], 1.0)
     u0, v0 = np.zeros(p["d1"]), np.zeros(p["d2"])
 
-    def engine(variant, interval, adaptive, iters, radius=None):
+    def engine(variant, interval, adaptive, iters, radius=None, u=u0, v=v0):
         return sp.accelerated_prox_multipliers(
-            f, inst["A"], inst["b"], lam, u0, v0, iters, variant=variant,
+            f, inst["A"], inst["b"], lam, u, v, iters, variant=variant,
             restart_interval=interval, adaptive_restart=adaptive, R=radius)
 
-    oracle = engine("plain", None, False, ORACLE_ITERS)
-    radius = float(np.linalg.norm(np.concatenate([u0, v0]) - oracle.iterates["x"][-1]))
+    u_star, v_star = basis_pursuit_solution(inst["A"], inst["b"])
+    check = math.sqrt(engine("plain", None, False, 1, u=u_star, v=v_star).residuals[0])
+    radius = float(np.linalg.norm(np.concatenate([u0 - u_star, v0 - v_star])))
+    line, radius = _radius_line(radius, "exact (KKT point of the basis pursuit LP)",
+                                check)
     meta = [f"# problem=basis_pursuit d1={p['d1']} d2={p['d2']} seed={seed}"
-            f" lam={_fmt(lam)} iters={config.iters} x0=0",
-            f"# R={_fmt(radius)} R_source=estimate"
-            f" (fixed point of a {ORACLE_ITERS}-iteration plain oracle run)"]
+            f" lam={_fmt(lam)} iters={config.iters} x0=0", line]
 
     def run(task):
         label, variant, interval = task
@@ -236,20 +258,25 @@ def _run_pdhg_experiment(config):
     u0 = np.full(p["d1"], 10.0)
     v0 = np.full(p["d2"], 10.0)
 
-    def engine(variant, interval, adaptive, iters, radius=None):
-        return sp.pdhg(f, g, k, tau, sigma, u0, v0, iters, variant=variant,
+    def engine(variant, interval, adaptive, iters, radius=None, u=u0, v=v0):
+        return sp.pdhg(f, g, k, tau, sigma, u, v, iters, variant=variant,
                        restart_interval=interval, adaptive_restart=adaptive,
                        R=radius)
 
-    oracle = engine("plain", None, False, ORACLE_ITERS)
-    x0 = np.concatenate([u0, v0])
-    precond = sp.pdhg_preconditioner(k, tau, sigma)
-    radius = float(np.sqrt(precond.quad(x0 - oracle.iterates["x"][-1])))
+    # The saddle set is (u* + null K) x {v*}. The preconditioned distance
+    # to it drops the null-space part of u0 - u*, leaving du = P(u0 - u*)
+    # with P = K'(KK')^-1 K the projection onto range(K').
+    k_du = k @ (u0 - inst["u_star"])
+    du = k.T @ cho_solve(cho_factor(k @ k.T), k_du)
+    dv = v0 - inst["v_star"]
+    radius = math.sqrt(du @ du / tau - 2.0 * (k_du @ dv) + dv @ dv / sigma)
+    check = math.sqrt(engine("plain", None, False, 1, u=u0 - du,
+                             v=inst["v_star"]).residuals[0])
+    line, radius = _radius_line(
+        radius, "exact (nearest point of the planted saddle set)", check)
     meta = [f"# problem=bilinear_game d1={p['d1']} d2={p['d2']} seed={seed}"
             f" tau={_fmt(tau)} sigma={_fmt(sigma)} norm_K={_fmt(norm_k)}"
-            f" iters={config.iters} x0=all-tens residual=preconditioned",
-            f"# R={_fmt(radius)} R_source=estimate"
-            f" (fixed point of a {ORACLE_ITERS}-iteration plain oracle run)"]
+            f" iters={config.iters} x0=all-tens residual=preconditioned", line]
 
     def run(task):
         label, variant, interval = task
@@ -280,12 +307,13 @@ def _run_admm_experiment(config):
     oracle = engine(False, None, False, ORACLE_ITERS)
     nu_star = oracle.iterates["nu_hat"][-1] + rho * (cons.A @ oracle.iterates["x"][-1] - cons.c)
     eta0 = nu0 + rho * (cons.A @ x0 - cons.c)
-    radius = float(np.linalg.norm(eta0 - nu_star))
+    line, radius = _radius_line(
+        float(np.linalg.norm(eta0 - nu_star)),
+        f"estimate (dual fixed point of a {ORACLE_ITERS}-iteration plain oracle run)",
+        math.sqrt(oracle.residuals[-1]))
     meta = [f"# problem=tv_least_squares d1={p['d1']} p={p['p']} seed={seed}"
             f" gamma={_fmt(gamma)} rho={_fmt(rho)}"
-            f" noise_scale={_fmt(p['noise_scale'])} iters={config.iters} x0=0",
-            f"# R={_fmt(radius)} R_source=estimate"
-            f" (dual fixed point of a {ORACLE_ITERS}-iteration plain oracle run)"]
+            f" noise_scale={_fmt(p['noise_scale'])} iters={config.iters} x0=0", line]
 
     def run(task):
         label, variant, interval = task

@@ -155,7 +155,9 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     when given, scores each new iterate into ``gaps``. The bound column is
     filled when ``R`` is known, the variant has a rate (``plain`` or
     ``proposed``) and no restart can fire. A non-finite residual, iterate
-    or extrapolated point raises ``FloatingPointError``.
+    or extrapolated point raises ``FloatingPointError``; numpy's own
+    overflow and invalid-value warnings are silenced inside the loop, so
+    that error is the only report of a divergence.
     """
     if iters < 1:
         raise ValueError("iteration count must be at least 1")
@@ -167,33 +169,35 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     xs, ys, residuals, gaps, restarts = [x0], [], [], [], []
     since_restart = 0
     prev_res = None
-    for g in range(1, iters + 1):
-        x_new = np.asarray(step(y), dtype=float)
-        res = residual_sq(x_new, y)
-        if not (math.isfinite(res) and np.isfinite(x_new).all()):
-            raise FloatingPointError(f"non-finite residual or iterate at iteration {g}")
-        ys.append(y)
-        xs.append(x_new)
-        residuals.append(res)
-        if gap is not None:
-            gaps.append(gap(x_new))
-        since_restart += 1
-        do_restart = g < iters and (
-            (interval is not None and since_restart >= interval)
-            or (adaptive and prev_res is not None and res > prev_res))
-        if do_restart:
-            mom.reset()
-            x = y = y_prev = x_new
-            restarts.append(g)
-            since_restart = 0
-            prev_res = None
-        else:
-            y_new = mom.update(x_new, x, y, y_prev)
-            if y_new is not x_new and not np.isfinite(y_new).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in range(1, iters + 1):
+            x_new = np.asarray(step(y), dtype=float)
+            res = residual_sq(x_new, y)
+            if not (math.isfinite(res) and np.isfinite(x_new).all()):
                 raise FloatingPointError(
-                    f"non-finite extrapolated point after iteration {g}")
-            x, y_prev, y = x_new, y, y_new
-            prev_res = res
+                    f"non-finite residual or iterate at iteration {g}")
+            ys.append(y)
+            xs.append(x_new)
+            residuals.append(res)
+            if gap is not None:
+                gaps.append(gap(x_new))
+            since_restart += 1
+            do_restart = g < iters and (
+                (interval is not None and since_restart >= interval)
+                or (adaptive and prev_res is not None and res > prev_res))
+            if do_restart:
+                mom.reset()
+                x = y = y_prev = x_new
+                restarts.append(g)
+                since_restart = 0
+                prev_res = None
+            else:
+                y_new = mom.update(x_new, x, y, y_prev)
+                if y_new is not x_new and not np.isfinite(y_new).all():
+                    raise FloatingPointError(
+                        f"non-finite extrapolated point after iteration {g}")
+                x, y_prev, y = x_new, y, y_new
+                prev_res = res
     idx = np.arange(1, iters + 1)
     rate = {"plain": ppm_rate_bound, "proposed": accelerated_rate_bound}.get(variant)
     bounds = None

@@ -21,6 +21,7 @@ __all__ = [
     "toy_saddle",
     "strongly_monotone_instance",
     "basis_pursuit_instance",
+    "basis_pursuit_solution",
     "bilinear_game_instance",
     "tv_instance",
     "save_instance",
@@ -160,16 +161,46 @@ def basis_pursuit_instance(d1, d2, seed):
                            {"A": a, "b": a @ u_true, "u_true": u_true})
 
 
+def basis_pursuit_solution(a, b):
+    """Solution ``(u*, v*)`` of ``min ||u||_1 s.t. A u = b`` and its
+    multiplier, from the linear program ``min 1'(p + q) s.t. A (p - q) =
+    b, p, q >= 0`` solved by HiGHS.
+
+    ``v*`` follows the Lagrangian ``||u||_1 + <v, A u - b>``, so ``A'v*``
+    lies in ``-d||u*||_1``; ``(u*, v*)`` is then a fixed point of the
+    proximal method of multipliers. Raises ``ArithmeticError`` when the
+    solver does not report an optimum.
+    """
+    # Imported here: scipy.optimize costs a few tenths of a second to load
+    # and only this reference needs it.
+    from scipy.optimize import linprog
+
+    a = np.asarray(a, dtype=float)
+    d1 = a.shape[1]
+    res = linprog(np.ones(2 * d1), A_eq=np.hstack([a, -a]), b_eq=b,
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise ArithmeticError(f"basis pursuit LP not solved: {res.message}")
+    return res.x[:d1] - res.x[d1:], -res.eqlin.marginals
+
+
 def bilinear_game_instance(d1, d2, seed):
-    """Random bilinear game data: standard normal ``K`` (d2 x d1), ``a``, ``b``."""
+    """Bilinear game ``min_u max_v a'u + <K u, v> - b'v`` with a planted
+    saddle point.
+
+    ``K`` (d2 x d1), ``u_star`` and ``v_star`` are standard normal, and
+    ``a = -K'v_star``, ``b = K u_star``, so ``(u_star + null K) x
+    {v_star}`` is the saddle set by construction.
+    """
     if d1 < 1 or d2 < 1:
         raise ValueError("dimensions must be positive")
     rng = SplitMix64(seed)
     k = rng.normal_matrix(d2, d1)
-    a = rng.normals(d1)
-    b = rng.normals(d2)
+    u_star = rng.normals(d1)
+    v_star = rng.normals(d2)
     return ProblemInstance("bilinear_game", seed, {"d1": d1, "d2": d2},
-                           {"K": k, "a": a, "b": b})
+                           {"K": k, "a": -(k.T @ v_star), "b": k @ u_star,
+                            "u_star": u_star, "v_star": v_star})
 
 
 def tv_instance(d1, p, seed, noise_scale=0.1):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import proxpoint
 from proxpoint import cli
 
 
@@ -82,7 +88,7 @@ class TestFigureRuns:
         _, rows = parse_rows(out)
         assert {r["method"] for r in rows} == {"ppm", "guler1", "accel",
                                                "restart@30"}
-        assert "R_source=estimate" in out.read_text()
+        assert "R_source=exact" in out.read_text()
 
     def test_fig4_desk_residuals_positive(self, tmp_path):
         code, out = run_cli(tmp_path, "--experiment", "fig4-desk", "--iters", "20",
@@ -113,6 +119,78 @@ class TestFigureRuns:
         data = first.read_bytes()
         _, second = run_cli(tmp_path, "--experiment", "fig3-desk", "--iters", "20")
         assert second.read_bytes() == data
+
+
+def header_fields(path):
+    """``key=value`` tokens of the ``# R=...`` header line."""
+    line = next(ln for ln in path.read_text().splitlines() if ln.startswith("# R="))
+    return dict(tok.split("=", 1) for tok in line[2:].split() if "=" in tok), line
+
+
+class TestReferenceSolutions:
+    @pytest.mark.parametrize("experiment,source", [("fig3-desk", "exact"),
+                                                   ("fig4-desk", "exact"),
+                                                   ("fig5-desk", "estimate")])
+    def test_header_records_the_checked_reference(self, tmp_path, experiment, source):
+        code, out = run_cli(tmp_path, "--experiment", experiment, "--iters", "40")
+        assert code == 0
+        fields, line = header_fields(out)
+        assert fields["R_source"] == source
+        radius, check = float(fields["R"]), float(fields["fixed_point_check"])
+        assert 0.0 <= check <= cli.FIXED_POINT_TOL * max(1.0, radius)
+        assert "bound=empty" not in line
+        _, rows = parse_rows(out)
+        bounded = [r for r in rows if r["bound"]]
+        assert bounded
+        for r in bounded:
+            assert float(r["residual"]) <= float(r["bound"]) * (1.0 + 1e-9)
+
+    def test_fig4_desk_radius_matches_plain_oracle(self, tmp_path):
+        # Plain PDHG on a skew operator converges to the preconditioned
+        # projection of x0 onto the saddle set, so a long run recovers the
+        # closed-form R.
+        code, out = run_cli(tmp_path, "--experiment", "fig4-desk", "--iters", "1",
+                            "--method", "ppm")
+        assert code == 0
+        radius = float(header_fields(out)[0]["R"])
+        inst = proxpoint.bilinear_game_instance(50, 25, 1)
+        k = inst["K"]
+        tau = sigma = 0.99 / proxpoint.operator_norm(k)
+        f = proxpoint.ProxDescriptor.linear(inst["a"])
+        g = proxpoint.ProxDescriptor.linear(inst["b"])
+        u0, v0 = np.full(50, 10.0), np.full(25, 10.0)
+        oracle = proxpoint.pdhg(f, g, k, tau, sigma, u0, v0, 10_000, variant="plain")
+        precond = proxpoint.pdhg_preconditioner(k, tau, sigma)
+        oracle_radius = np.sqrt(precond.quad(np.concatenate([u0, v0])
+                                             - oracle.iterates["x"][-1]))
+        assert radius == pytest.approx(oracle_radius, rel=1e-9)
+
+    def test_perturbed_fig4_reference_leaves_bounds_empty(self, tmp_path, monkeypatch):
+        def perturbed(*args):
+            inst = proxpoint.bilinear_game_instance(*args)
+            inst.data["v_star"] = inst["v_star"] + 1e-3
+            return inst
+
+        monkeypatch.setattr(cli, "bilinear_game_instance", perturbed)
+        code, out = run_cli(tmp_path, "--experiment", "fig4-desk", "--iters", "20")
+        assert code == 0
+        fields, line = header_fields(out)
+        assert float(fields["fixed_point_check"]) > cli.FIXED_POINT_TOL * float(fields["R"])
+        assert "bound=empty" in line
+        _, rows = parse_rows(out)
+        assert rows and all(r["bound"] == "" for r in rows)
+
+    def test_perturbed_fig3_multiplier_leaves_bounds_empty(self, tmp_path, monkeypatch):
+        def perturbed(a, b):
+            u_star, v_star = proxpoint.basis_pursuit_solution(a, b)
+            return u_star, v_star * (1.0 + 1e-3)
+
+        monkeypatch.setattr(cli, "basis_pursuit_solution", perturbed)
+        code, out = run_cli(tmp_path, "--experiment", "fig3-desk", "--iters", "20")
+        assert code == 0
+        assert "bound=empty" in header_fields(out)[1]
+        _, rows = parse_rows(out)
+        assert rows and all(r["bound"] == "" for r in rows)
 
 
 class TestCertReport:
@@ -155,6 +233,21 @@ class TestDivergenceAndRestartFlags:
                                 "--method", "guler1", "--iters", iters)
         assert code == 2
         assert not out.exists()
+
+    def test_divergence_is_reported_once_on_stderr(self, tmp_path):
+        # A fresh interpreter, so numpy's overflow warnings reach stderr as
+        # they would for a user instead of pytest's warning capture.
+        src = str(Path(proxpoint.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "proxpoint.cli", "--experiment", "fig1",
+             "--method", "guler1", "--iters", "2000",
+             "--out", str(tmp_path / "run.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
     def test_fixed_and_adaptive_restart_are_exclusive(self, tmp_path):
         code, out = run_cli(tmp_path, "--experiment", "fig2", "--iters", "60",

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from proxpoint import (
     SplitMix64,
     basis_pursuit_instance,
+    basis_pursuit_solution,
     bilinear_game_instance,
     check_monotone,
     linear_resolvent,
@@ -108,6 +109,20 @@ class TestBasisPursuit:
         with pytest.raises(ValueError):
             basis_pursuit_instance(10, 10, 0)
 
+    @pytest.mark.parametrize("d1,d2,seed", [(40, 10, 1), (40, 10, 2), (100, 20, 1),
+                                            (100, 20, 3), (100, 20, 7919)])
+    def test_lp_solution_satisfies_kkt(self, d1, d2, seed):
+        # 0 in d||u*||_1 + A'v*: |A'v*| <= 1 everywhere, and A'v* = -sign(u*)
+        # on the support.
+        inst = basis_pursuit_instance(d1, d2, seed)
+        u_star, v_star = basis_pursuit_solution(inst["A"], inst["b"])
+        assert_allclose(inst["A"] @ u_star, inst["b"], rtol=0, atol=1e-12)
+        slope = inst["A"].T @ v_star
+        assert np.max(np.abs(slope)) <= 1.0 + 1e-9
+        support = u_star != 0.0
+        assert support.any()
+        assert_allclose(slope[support], -np.sign(u_star[support]), rtol=0, atol=1e-9)
+
 
 class TestBilinearGame:
     def test_deterministic(self):
@@ -121,6 +136,15 @@ class TestBilinearGame:
         inst = bilinear_game_instance(50, 25, 1)
         assert inst["K"].shape == (25, 50)
         assert np.linalg.norm(inst["K"]) > 0.0
+
+    @pytest.mark.parametrize("d1,d2,seed", [(50, 25, 1), (1000, 500, 1), (7, 9, 3)])
+    def test_planted_saddle(self, d1, d2, seed):
+        # Saddle conditions of a'u + <K u, v> - b'v: K'v* = -a and K u* = b.
+        inst = bilinear_game_instance(d1, d2, seed)
+        k = inst["K"]
+        assert inst["u_star"].shape == (d1,) and inst["v_star"].shape == (d2,)
+        assert_allclose(k.T @ inst["v_star"], -inst["a"], rtol=1e-12, atol=1e-12)
+        assert_allclose(k @ inst["u_star"], inst["b"], rtol=1e-12, atol=1e-12)
 
 
 class TestTV:

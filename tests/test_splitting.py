@@ -14,6 +14,7 @@ from proxpoint import (
     accelerated_saddle_ppm,
     admm,
     basis_pursuit_instance,
+    basis_pursuit_solution,
     bilinear_game_instance,
     difference_matrix,
     drs,
@@ -205,6 +206,22 @@ class TestProxMultipliers:
         with pytest.raises(ValueError):
             accelerated_prox_multipliers(f, np.eye(3), np.zeros(3), 1.0,
                                          np.zeros(3), np.zeros(3), 2)
+
+    @pytest.mark.parametrize("d1,d2,seed", [(40, 10, 1), (100, 20, 1),
+                                            (100, 20, 2), (100, 20, 7919)])
+    def test_lp_solution_is_a_fixed_point(self, d1, d2, seed):
+        # The basis pursuit LP's KKT pair is a zero of the operator behind
+        # the proximal method of multipliers: one plain step stays put,
+        # while the opposite multiplier sign moves.
+        inst = basis_pursuit_instance(d1, d2, seed)
+        u_star, v_star = basis_pursuit_solution(inst["A"], inst["b"])
+        f = ProxDescriptor.l1(d1, 1.0)
+        step = accelerated_prox_multipliers(f, inst["A"], inst["b"], 0.01,
+                                            u_star, v_star, 1, variant="plain")
+        assert np.sqrt(step.residuals[0]) <= 1e-12
+        wrong = accelerated_prox_multipliers(f, inst["A"], inst["b"], 0.01,
+                                             u_star, -v_star, 1, variant="plain")
+        assert np.sqrt(wrong.residuals[0]) > 1e-3
 
 
 class TestPDHG:
