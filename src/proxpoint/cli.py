@@ -261,7 +261,7 @@ def _run_pdhg_experiment(config):
     def engine(variant, interval, adaptive, iters, radius=None, u=u0, v=v0):
         return sp.pdhg(f, g, k, tau, sigma, u, v, iters, variant=variant,
                        restart_interval=interval, adaptive_restart=adaptive,
-                       R=radius)
+                       R=radius, norm_k=norm_k)
 
     # The saddle set is (u* + null K) x {v*}. The preconditioned distance
     # to it drops the null-space part of u0 - u*, leaving du = P(u0 - u*)

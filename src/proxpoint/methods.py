@@ -164,6 +164,10 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     if interval is not None and interval < 1:
         raise ValueError("restart interval must be at least 1")
     x0 = as_vector(x0)
+    # Every y is finite (x0 by as_vector, later points by the checks
+    # below), so a non-finite entry of x_new already makes the Euclidean
+    # residual inf or nan; a custom residual may read only part of x_new.
+    scan_x = residual_sq is not _euclidean_sq
     mom = Momentum(variant)
     x = y = y_prev = x0
     xs, ys, residuals, gaps, restarts = [x0], [], [], [], []
@@ -173,7 +177,8 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
         for g in range(1, iters + 1):
             x_new = np.asarray(step(y), dtype=float)
             res = residual_sq(x_new, y)
-            if not (math.isfinite(res) and np.isfinite(x_new).all()):
+            if not (math.isfinite(res)
+                    and (not scan_x or np.isfinite(x_new).all())):
                 raise FloatingPointError(
                     f"non-finite residual or iterate at iteration {g}")
             ys.append(y)

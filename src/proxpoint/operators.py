@@ -11,7 +11,7 @@ semidefinite, and mu-strongly monotone when that part dominates
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
 __all__ = [
     "SingularSystemError",
@@ -55,11 +55,14 @@ class InnerSolverError(RuntimeError):
 
 
 def as_vector(x):
-    """Coerce ``x`` to a finite 1-D float array."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    """Coerce ``x`` to a finite 1-D float array (a float64 vector is
+    returned as is, without a copy)."""
+    v = np.asarray(x, dtype=float)
     if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+        v = np.atleast_1d(v)
+        if v.ndim != 1:
+            raise ValueError(f"expected a vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -171,6 +174,13 @@ def check_monotone(op, mu=0.0):
 
 
 def _factor(system):
+    """Factor ``system`` once and return ``solve(rhs)`` for ``system x = rhs``.
+
+    ``solve`` calls LAPACK ``getrs`` on the bound factors directly, which
+    is what ``scipy.linalg.lu_solve`` reaches after its per-call argument
+    handling, so the results are bit-identical to it. ``rhs`` is never
+    overwritten.
+    """
     with warnings.catch_warnings():
         # Singularity is handled by the explicit pivot check below.
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -179,7 +189,15 @@ def _factor(system):
         raise SingularSystemError(
             "resolvent system is singular to working precision; "
             "the operator is likely not monotone")
-    return lu, piv
+    getrs, = get_lapack_funcs(("getrs",), (lu,))
+
+    def solve(rhs):
+        x, info = getrs(lu, piv, rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
+
+    return solve
 
 
 def linear_resolvent(op, lam):
@@ -207,10 +225,10 @@ def linear_resolvent(op, lam):
     """
     lam = _check_positive(lam)
     m = _entries(op)
-    factors = _factor(np.eye(m.shape[0]) + lam * m)
+    solve = _factor(np.eye(m.shape[0]) + lam * m)
 
     def apply(y):
-        return lu_solve(factors, as_vector(y), check_finite=False)
+        return solve(as_vector(y))
 
     return apply
 
@@ -228,11 +246,11 @@ def preconditioned_resolvent_map(op, precond, lam):
     m = _entries(op)
     if m.shape != precond.entries.shape:
         raise ValueError("operator and preconditioner dimensions differ")
-    factors = _factor(precond.entries + lam * m)
+    solve = _factor(precond.entries + lam * m)
     p = precond.entries
 
     def apply(y):
-        return lu_solve(factors, p @ as_vector(y), check_finite=False)
+        return solve(p @ as_vector(y))
 
     return apply
 
@@ -297,7 +315,7 @@ class QuadraticSaddle:
     def saddle_point(self):
         """Unique stationary point; requires the stacked system to be nonsingular."""
         linear, shift = self.stacked_operator()
-        sol = lu_solve(_factor(linear.entries), -shift, check_finite=False)
+        sol = _factor(linear.entries)(-shift)
         d1 = self.q_uu.shape[0]
         return sol[:d1], sol[d1:]
 
@@ -310,11 +328,11 @@ def saddle_resolvent_map(phi, lam):
     """
     lam = _check_positive(lam)
     linear, shift = phi.stacked_operator()
-    factors = _factor(np.eye(linear.dim) + lam * linear.entries)
+    solve = _factor(np.eye(linear.dim) + lam * linear.entries)
     offset = lam * shift
 
     def apply(y):
-        return lu_solve(factors, as_vector(y) - offset, check_finite=False)
+        return solve(as_vector(y) - offset)
 
     return apply
 

@@ -14,7 +14,6 @@ infeasibility for ADMM, and saddle gaps when a saddle point is supplied.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .methods import _iterate
 from .operators import InnerSolverError, _factor, as_vector
@@ -122,7 +121,7 @@ class ProxDescriptor:
             self.a = as_vector(a)
             if self.a.size != self.dim:
                 raise ValueError("linear term shape disagrees with dim")
-        self._prox_factors = {}
+        self._prox_solvers = {}
 
     @classmethod
     def l1(cls, dim, weight=1.0):
@@ -164,11 +163,11 @@ class ProxDescriptor:
             return w - t * self.a
         if self.kind == "l1":
             return soft_threshold(w, t * self.weight)
-        factors = self._prox_factors.get(t)
-        if factors is None:
-            factors = _factor(np.eye(self.dim) + t * (self.h.T @ self.h))
-            self._prox_factors[t] = factors
-        return lu_solve(factors, w + t * (self.h.T @ self.b), check_finite=False)
+        solve = self._prox_solvers.get(t)
+        if solve is None:
+            solve = _factor(np.eye(self.dim) + t * (self.h.T @ self.h))
+            self._prox_solvers[t] = solve
+        return solve(w + t * (self.h.T @ self.b))
 
 
 @dataclass
@@ -340,11 +339,10 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
             base += f.h.T @ f.b
         elif f.kind == "linear":
             base -= f.a
-        factors = _factor(system)
+        solve = _factor(system)
 
         def solve_u(u_hat, v_hat):
-            return lu_solve(factors, base - a_mat.T @ v_hat + u_hat / lam,
-                            check_finite=False)
+            return solve(base - a_mat.T @ v_hat + u_hat / lam)
     else:
         raise ValueError(f"unsupported f kind {f.kind!r}")
 
@@ -373,19 +371,21 @@ def pdhg_preconditioner(k, tau, sigma):
 
 
 def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed",
-         restart_interval=None, adaptive_restart=False, R=None):
+         restart_interval=None, adaptive_restart=False, R=None, norm_k=None):
     """Primal-dual hybrid gradient method with the accelerated update.
 
-    Requires ``tau * sigma * ||K||^2 < 1`` (operator norm by power
-    iteration), which makes the underlying preconditioner positive
-    definite; residuals are measured in the preconditioned norm
+    Requires ``tau * sigma * ||K||^2 < 1``, which makes the underlying
+    preconditioner positive definite; ``||K||`` is ``norm_k`` when given
+    and is otherwise found by power iteration. Residuals are measured in
+    the preconditioned norm
     ``<P d, d> = ||du||^2/tau - 2 <K du, dv> + ||dv||^2/sigma``.
     ``R``, when given, is the preconditioned initial distance.
     """
     k = np.asarray(k, dtype=float)
     if tau <= 0 or sigma <= 0:
         raise ValueError("tau and sigma must be positive")
-    norm_k = operator_norm(k)
+    if norm_k is None:
+        norm_k = operator_norm(k)
     if tau * sigma * norm_k ** 2 >= 1.0:
         raise ValueError(
             f"need tau*sigma*||K||^2 < 1, got {tau * sigma * norm_k ** 2:.6g}")
@@ -442,11 +442,11 @@ def _admm_x_solver(f, constraint, rho, inner):
             base = f.h.T @ f.b
         elif f.kind == "linear":
             base = -f.a
-        factors = _factor(system)
+        solve_system = _factor(system)
 
         def solve(nu_hat, z):
             rhs = base + a.T @ (rho * (constraint.c - constraint.B @ z) - nu_hat)
-            return lu_solve(factors, rhs, check_finite=False)
+            return solve_system(rhs)
 
         return solve
     if f.kind == "l1":
@@ -495,11 +495,11 @@ def _admm_z_solver(g, constraint, rho, inner):
             base = g.h.T @ g.b
         elif g.kind == "linear":
             base = -g.a
-        factors = _factor(system)
+        solve_system = _factor(system)
 
         def solve(eta_hat, x):
             rhs = base + b.T @ (rho * (constraint.c - constraint.A @ x) - eta_hat)
-            return lu_solve(factors, rhs, check_finite=False)
+            return solve_system(rhs)
 
         return solve
     raise ValueError(f"unsupported g kind {g.kind!r}")

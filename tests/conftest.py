@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from proxpoint import DenseLinearOperator, SplitMix64
 
@@ -10,6 +11,13 @@ def random_monotone_operator(rng, dim, strength=1.0, mu=0.0):
     w = rng.normal_matrix(dim, dim)
     m = strength * (b @ b.T) / dim + (w - w.T) + mu * np.eye(dim)
     return DenseLinearOperator(m)
+
+
+def lu_solve_factor(system):
+    """Stand-in for ``operators._factor`` that solves through
+    ``scipy.linalg.lu_solve``: the reference for bit-identity checks."""
+    factors = lu_factor(system, check_finite=False)
+    return lambda rhs: lu_solve(factors, rhs, check_finite=False)
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from proxpoint import (
     strongly_monotone_toy,
     yosida,
 )
+from proxpoint.methods import _euclidean_sq, _iterate
 from conftest import random_monotone_operator
 
 START = np.array([1.0, 0.0])
@@ -234,4 +235,29 @@ class TestDivergence:
 
         with pytest.raises(FloatingPointError, match="iteration 3"):
             accelerated_ppm(resolvent, START, 10)
+        assert len(calls) == 3
+
+
+def first_block_sq(x_new, y):
+    return float((x_new[0] - y[0]) ** 2)
+
+
+class TestOneScanPerIteration:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("variant", ["plain", "proposed"])
+    @pytest.mark.parametrize("residual_sq", [_euclidean_sq, first_block_sq])
+    def test_bad_entry_stops_the_run_at_its_iteration(self, bad, variant,
+                                                      residual_sq):
+        # The Euclidean residual is the only scan of x_new: a bad entry
+        # makes it inf or nan. The first-block residual never reads the bad
+        # entry, so the engine must still scan x_new itself.
+        calls = []
+
+        def step(y):
+            calls.append(y)
+            return np.array([0.5 * y[0], bad]) if len(calls) == 3 else 0.5 * y
+
+        with pytest.raises(FloatingPointError,
+                           match="residual or iterate at iteration 3"):
+            _iterate(step, START, 10, variant, residual_sq=residual_sq)
         assert len(calls) == 3

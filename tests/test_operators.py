@@ -7,16 +7,21 @@ from proxpoint import (
     Preconditioner,
     QuadraticSaddle,
     SingularSystemError,
+    SplitMix64,
     check_monotone,
     linear_resolvent,
     preconditioned_resolvent,
+    preconditioned_resolvent_map,
     resolvent_linear,
     saddle_resolvent,
+    saddle_resolvent_map,
     strongly_monotone_toy,
     yosida,
     yosida_apply,
 )
-from conftest import random_monotone_operator
+from proxpoint import operators
+from proxpoint.operators import as_vector
+from conftest import lu_solve_factor, random_monotone_operator
 
 ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -168,3 +173,80 @@ class TestCheckMonotone:
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError):
             check_monotone(np.eye(2), mu=-0.5)
+
+
+class TestFactoredSolve:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 100])
+    def test_resolvent_maps_match_lu_solve(self, dim, seed, monkeypatch):
+        rng = SplitMix64(seed)
+        op = random_monotone_operator(rng, dim)
+        b = rng.normal_matrix(dim, dim)
+        precond = b @ b.T + np.eye(dim)
+        d2 = max(1, dim // 2)
+        q_u, q_v = rng.normal_matrix(dim, dim), rng.normal_matrix(d2, d2)
+        phi = QuadraticSaddle(q_u @ q_u.T, rng.normal_matrix(d2, dim), q_v @ q_v.T,
+                              a=rng.normals(dim), b=rng.normals(d2))
+        ys = [rng.normals(dim) for _ in range(3)]
+        stacked = [rng.normals(dim + d2) for _ in range(3)]
+
+        def outputs():
+            plain = linear_resolvent(op, 0.7)
+            pre = preconditioned_resolvent_map(op, precond, 0.7)
+            saddle = saddle_resolvent_map(phi, 0.7)
+            return ([plain(y) for y in ys] + [pre(y) for y in ys]
+                    + [saddle(y) for y in stacked] + list(phi.saddle_point()))
+
+        direct = outputs()
+        monkeypatch.setattr(operators, "_factor", lu_solve_factor)
+        reference = outputs()
+        assert len(direct) == len(reference)
+        for got, want in zip(direct, reference):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 100])
+    def test_solve_leaves_rhs_untouched(self, dim):
+        rng = SplitMix64(dim)
+        system = rng.normal_matrix(dim, dim) + dim * np.eye(dim)
+        rhs = rng.normals(dim)
+        kept = rhs.copy()
+        x = operators._factor(system)(rhs)
+        assert x is not rhs and np.array_equal(rhs, kept)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 100])
+    def test_singular_system_still_raises(self, dim):
+        with pytest.raises(SingularSystemError):
+            operators._factor(np.zeros((dim, dim)))
+        with pytest.raises(SingularSystemError):
+            linear_resolvent(-np.eye(dim), 1.0)
+        with pytest.raises(SingularSystemError):
+            preconditioned_resolvent_map(-np.eye(dim), np.eye(dim), 1.0)
+
+
+class TestAsVector:
+    def test_scalar_becomes_length_one(self):
+        v = as_vector(3.0)
+        assert v.shape == (1,) and v[0] == 3.0
+
+    def test_int_list_becomes_float64(self):
+        v = as_vector([1, 2, 3])
+        assert v.dtype == np.float64
+        assert np.array_equal(v, [1.0, 2.0, 3.0])
+
+    def test_float_vector_is_not_copied(self):
+        x = np.array([1.0, -2.0])
+        assert as_vector(x) is x
+
+    def test_matrix_rejected(self):
+        with pytest.raises(ValueError, match="expected a vector"):
+            as_vector(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vector([1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_resolvent_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            linear_resolvent(ROTATION, 1.0)(np.array([bad, 0.0]))

@@ -29,8 +29,9 @@ from proxpoint import (
     toy_saddle,
     tv_instance,
 )
+from proxpoint import SplitMix64, splitting
 from proxpoint.methods import Momentum
-from conftest import random_monotone_operator
+from conftest import lu_solve_factor, random_monotone_operator
 
 
 class TestSoftThreshold:
@@ -242,6 +243,24 @@ class TestPDHG:
         g = ProxDescriptor.zero(1)
         with pytest.raises(ValueError):
             pdhg(f, g, np.array([[2.0]]), 1.0, 1.0, [0.0], [0.0], 2)
+
+    def test_supplied_norm_is_checked(self):
+        f = ProxDescriptor.zero(1)
+        g = ProxDescriptor.zero(1)
+        with pytest.raises(ValueError, match="tau\\*sigma"):
+            pdhg(f, g, np.array([[0.5]]), 1.0, 1.0, [0.0], [0.0], 2, norm_k=2.0)
+
+    def test_supplied_norm_gives_the_same_run(self, rng):
+        k = rng.normal_matrix(4, 6)
+        f = ProxDescriptor.linear(rng.normals(6))
+        g = ProxDescriptor.linear(rng.normals(4))
+        norm_k = operator_norm(k)
+        tau = sigma = 0.9 / norm_k
+        u0, v0 = rng.normals(6), rng.normals(4)
+        computed = pdhg(f, g, k, tau, sigma, u0, v0, 20)
+        supplied = pdhg(f, g, k, tau, sigma, u0, v0, 20, norm_k=norm_k)
+        assert np.array_equal(computed.xs, supplied.xs)
+        assert np.array_equal(computed.residuals, supplied.residuals)
 
     def test_equals_preconditioned_proximal_point(self, rng):
         # One accelerated PDHG step is the preconditioned resolvent of the
@@ -526,3 +545,45 @@ class TestSharedEngine:
         assert_allclose(trace.bounds, 1.0 / trace.iterations.astype(float) ** 2,
                         rtol=0, atol=0)
         assert np.all(trace.residuals <= trace.bounds * (1.0 + 1e-9))
+
+
+class TestFactoredSolves:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 100])
+    def test_engines_match_lu_solve(self, dim, seed, monkeypatch):
+        # Every factored solve in the splitting engines (quadratic prox,
+        # prox-multiplier u-update, ADMM x- and z-updates) is bit-identical
+        # to scipy's lu_solve on the same factors.
+        rng = SplitMix64(seed)
+        m = dim + 1
+        h_f, b_f = rng.normal_matrix(m, dim), rng.normals(m)
+        h_g, b_g = rng.normal_matrix(m, dim), rng.normals(m)
+        a_mat, rhs = rng.normal_matrix(m, dim), rng.normals(m)
+        cons = AffineConstraint(a_mat, rng.normal_matrix(m, dim), rng.normals(m))
+        u0, v0, w = rng.normals(dim), rng.normals(m), rng.normals(dim)
+
+        def outputs():
+            # Fresh descriptors, so no factorization is cached across runs.
+            f = ProxDescriptor.quadratic(h_f, b_f)
+            g = ProxDescriptor.quadratic(h_g, b_g)
+            multipliers = accelerated_prox_multipliers(f, a_mat, rhs, 0.8,
+                                                       u0, v0, 5)
+            run = admm(f, g, cons, 1.3, u0, np.zeros(dim), v0, 5)
+            return [g.prox(w, 0.4), multipliers.xs, run.xs, run.iterates["z"]]
+
+        direct = outputs()
+        monkeypatch.setattr(splitting, "_factor", lu_solve_factor)
+        reference = outputs()
+        for got, want in zip(direct, reference):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 100])
+    def test_singular_subproblems_still_raise(self, dim):
+        from proxpoint import SingularSystemError
+        zero = ProxDescriptor.zero(dim)
+        start = np.zeros(dim)
+        singular_x = AffineConstraint(np.zeros((dim, dim)), np.eye(dim), start)
+        singular_z = AffineConstraint(np.eye(dim), np.zeros((dim, dim)), start)
+        for cons in (singular_x, singular_z):
+            with pytest.raises(SingularSystemError):
+                admm(zero, zero, cons, 1.0, start, start, start, 2)
