@@ -5,6 +5,12 @@ in closed form, the Gram-space constraint matrices of the relaxed
 worst-case program, and the analytic dual certificate whose slack matrix
 collapses to an exact rank-1 outer product (hence is PSD, giving the
 ``1/N^2`` residual bound without any SDP solver).
+
+Each consecutive constraint ``A_{i-1,i}`` is nonzero only in rows and
+columns ``i-2, i-1``, and ``B_N`` only in row and column ``N-1``, so the
+slack matrix is assembled in O(N^2) from those rows alone. The result is
+bit-identical to summing the dense constraint matrices: every entry
+receives the same nonzero terms in the same order.
 """
 
 from dataclasses import dataclass
@@ -29,6 +35,9 @@ __all__ = [
 
 RANK1_TOL = 1e-12
 EIG_TOL = 1e-10
+# Rows of the slack matrix assembled at once; bounds the temporaries at
+# O(_BLOCK_ROWS * N) entries.
+_BLOCK_ROWS = 32
 
 
 def build_h(n):
@@ -40,47 +49,79 @@ def build_h(n):
     """
     if n < 2:
         raise ValueError("horizon must be at least 2")
-    table = np.zeros((n - 1, n - 1))
-    for i in range(1, n):
-        for k in range(1, i):
-            table[i - 1, k - 1] = -2.0 * k / (i * (i + 1))
-        table[i - 1, i - 1] = 2.0 * i / (i + 1)
+    idx = np.arange(1, n)
+    i, k = idx[:, None], idx[None, :]
+    table = np.tril(-2.0 * k / (i * (i + 1)), -1)
+    np.fill_diagonal(table, 2.0 * idx / (idx + 1))
     return StepCoeffs(n, table)
 
 
-def _sym_outer(u, v):
-    """Symmetrized outer product ``(u v' + v u') / 2``."""
-    return 0.5 * (np.outer(u, v) + np.outer(v, u))
+# The constraint matrices are formed entry by entry from the entries of
+# their defining vectors. The helpers are generic in the scalar type of the
+# step table: a float64 table gives the float matrices, an object array of
+# ``Fraction`` entries gives the same matrices in exact arithmetic.
+
+def _zeros(table, shape):
+    """Zeros in the scalar type of ``table``."""
+    return np.full(shape, table.flat[0] * 0, dtype=table.dtype)
 
 
-def _h_combination(coeffs, e, l):
-    """``sum_k h[l+1, k+1] u_{k+1}`` over ``k = 0..l`` in basis ``e``."""
-    row = coeffs.row(l + 1)
-    return row @ e[:l + 1]
+def _unit(table, size, index):
+    """Unit vector ``e_index`` in the scalar type of ``table``."""
+    e = _zeros(table, size)
+    e[index] += 1
+    return e
+
+
+def _span(table, first, stop, size):
+    """``sum_k h[l+1, k+1] u_{k+1}`` summed over ``l = first..stop-1``.
+
+    The rows of ``h`` are added in ascending ``l``, each zero-padded to
+    ``size``; this is a running sum of table rows, O(size) per row.
+    """
+    span = _zeros(table, size)
+    for l in range(first, stop):
+        span[:l + 1] += table[l, :l + 1]
+    return span
+
+
+def _sym_outer(up, uq, vp, vq):
+    """Entries ``(p, q)`` of ``(u v' + v u') / 2`` from ``u_p, u_q, v_p, v_q``."""
+    return (up * vq + vp * uq) / 2
+
+
+def _a_entries(dp, dq, sp, sq):
+    """Entries ``(p, q)`` of ``A = d d' - (d span' + span d') / 2``.
+
+    ``d`` holds only 0 and +-1, so ``d d'`` equals ``(d d' + d d') / 2``
+    bit for bit.
+    """
+    return dp * dq - _sym_outer(dp, dq, sp, sq)
+
+
+def _b_entries(up, uq, sp, sq, ep, eq):
+    """Entries ``(p, q)`` of ``B = u u' - (u e' + e u') / 2 + (u span' + span u') / 2``."""
+    return up * uq - _sym_outer(up, uq, ep, eq) + _sym_outer(up, uq, sp, sq)
 
 
 def constraint_a(coeffs, n, i, j):
     """Monotonicity constraint matrix for the iterate pair ``(i, j)``, ``i < j``."""
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    e = np.eye(n + 1)
-    d = e[i - 1] - e[j - 1]
-    span = np.zeros(n + 1)
-    for l in range(i - 1, j - 1):
-        span += _h_combination(coeffs, e, l)
-    return _sym_outer(d, d) - _sym_outer(d, span)
+    table = coeffs.table
+    d = _unit(table, n + 1, i - 1) - _unit(table, n + 1, j - 1)
+    span = _span(table, i - 1, j - 1, n + 1)
+    return _a_entries(d[:, None], d, span[:, None], span)
 
 
 def constraint_b(coeffs, n, i):
     """Monotonicity constraint matrix pairing iterate ``i`` with the solution."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}, got {i}")
-    e = np.eye(n + 1)
-    ui = e[i - 1]
-    span = np.zeros(n + 1)
-    for l in range(i - 1):
-        span += _h_combination(coeffs, e, l)
-    return np.outer(ui, ui) - _sym_outer(ui, e[n]) + _sym_outer(ui, span)
+    table = coeffs.table
+    u, e = _unit(table, n + 1, i - 1), _unit(table, n + 1, n)
+    span = _span(table, 0, i - 1, n + 1)
+    return _b_entries(u[:, None], u, span[:, None], span, e[:, None], e)
 
 
 def constraint_c(n):
@@ -141,21 +182,62 @@ def dual_multipliers(n):
     return a, 2.0 / n, 1.0 / (n * n)
 
 
+def _assemble_slack(table, a, b_n, c):
+    """Slack matrix from the step table and the multipliers, in O(N^2).
+
+    ``A_{i-1,i}`` vanishes outside rows and columns ``i-2, i-1`` and
+    beyond column ``i-1``. So entry ``(p, q)``, ``q <= p``, of ``sum a_i
+    A_{i-1,i}`` receives exactly two terms: row ``p`` of ``A_{p,p+1}``
+    (``i = p+1``), then row ``p`` of ``A_{p+1,p+2}`` (``i = p+2``).
+    ``B_N`` then adds to row ``N-1`` and to entry ``(N, N-1)``. Every
+    constraint matrix is symmetric bit for bit, so the upper triangle is a
+    copy of the lower one. Every entry receives the same nonzero terms,
+    in the same order, as the dense sum of the constraint matrices; the
+    skipped terms are zeros. Only lower-triangle entries are computed,
+    which halves the work of the rational path, a block of rows at a time.
+    """
+    n = table.shape[0] + 1
+    lower = np.tri(n + 1, dtype=bool)
+    s = _zeros(table, (n + 1, n + 1))
+    for start in range(0, n - 1, _BLOCK_ROWS):
+        # Row j of d and span holds the vectors defining A_{i-1,i} for
+        # i = k[j] + 2; rows k and k + 1 of s need columns 0..k+1 only.
+        k = np.arange(start, min(start + _BLOCK_ROWS, n - 1))
+        j, width = k - start, k[-1] + 2
+        d = _zeros(table, (k.size, width))
+        d[j, k] += 1
+        d[j, k + 1] -= 1
+        span = _zeros(table, (k.size, width))
+        cut = min(width, n - 1)
+        span[:, :cut] = table[k, :cut]
+        weight = np.array([a[i] for i in k + 2], dtype=table.dtype)
+        for shift in (1, 0):
+            # Row k + shift of A_{i-1,i} (row i-1, then row i-2) adds into
+            # the lower triangle of row k + shift of s.
+            cols = lower[k + shift, :width]
+            dr, sr, w = (np.repeat(v, cols.sum(axis=1))
+                         for v in (d[j, k + shift], span[j, k + shift], weight))
+            block = s[start + shift:k[-1] + 1 + shift, :width]
+            block[cols] += w * _a_entries(dr, d[cols], sr, span[cols])
+    u, e = _unit(table, n + 1, n - 1), _unit(table, n + 1, n)
+    span_n = _span(table, 0, n - 1, n + 1)
+    row = b_n * _b_entries(u[n - 1], u, span_n[n - 1], span_n, e[n - 1], e)
+    s[n - 1, :n] += row[:n]
+    s[n, n - 1] += row[n]
+    s = np.where(lower, s, s.T)
+    s[n, n] += c
+    s[n - 1, n - 1] -= 1
+    return s
+
+
 def certificate_slack(n):
     """Dual slack matrix ``sum a_i A_{i-1,i} + b_N B_N + c C - u_N u_N'``.
 
     Feasibility of the analytic multipliers is equivalent to this matrix
     being PSD; it factors exactly as a rank-1 outer product.
     """
-    coeffs = build_h(n)
     a, b_n, c = dual_multipliers(n)
-    s = np.zeros((n + 1, n + 1))
-    for i in range(2, n + 1):
-        s += a[i] * constraint_a(coeffs, n, i - 1, i)
-    s += b_n * constraint_b(coeffs, n, n)
-    s += c * constraint_c(n)
-    s[n - 1, n - 1] -= 1.0
-    return s
+    return _assemble_slack(build_h(n).table, a, b_n, c)
 
 
 @dataclass
@@ -183,7 +265,9 @@ def verify_certificate(n):
 
     The slack matrix must match ``r r'`` with ``r = u_N - u_{N+1}/N``
     entrywise within 1e-12 and have minimum eigenvalue above -1e-10;
-    the certified dual value is ``1/N^2``.
+    the certified dual value is ``1/N^2``. The slack is assembled in
+    O(N^2), bit-identical to the sum of the dense constraint matrices, so
+    the cost is dominated by the O(N^3) but fast ``eigvalsh`` call.
     """
     s = certificate_slack(n)
     r = np.zeros(n + 1)

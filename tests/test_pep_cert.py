@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,8 +16,13 @@ from proxpoint import (
     rotation_worst_case,
     verify_certificate,
 )
-from proxpoint.pep_cert import dual_multipliers
-from conftest import random_monotone_operator
+from proxpoint.pep_cert import _assemble_slack, dual_multipliers
+from conftest import (
+    random_monotone_operator,
+    reference_build_h,
+    reference_certificate_slack,
+    reference_constraint_matrices,
+)
 
 
 class TestBuildH:
@@ -133,6 +140,76 @@ class TestCertificate:
             a, b_n, c = dual_multipliers(n)
             assert all(v >= 0 for v in a.values())
             assert b_n >= 0 and c >= 0
+
+
+BIT_IDENTITY_HORIZONS = [*range(2, 61), 120, 240]
+
+
+class TestAgainstDenseReference:
+    """The O(N^2) assembly equals the dense O(N^3) constraint-matrix sum
+    bit for bit, not merely to a tolerance."""
+
+    def test_build_h_table(self):
+        for n in BIT_IDENTITY_HORIZONS:
+            assert np.array_equal(build_h(n).table, reference_build_h(n).table), n
+
+    def test_certificate_slack(self):
+        for n in BIT_IDENTITY_HORIZONS:
+            assert np.array_equal(certificate_slack(n), reference_certificate_slack(n)), n
+
+    def test_full_constraint_family(self):
+        for n in range(2, 13):
+            mats = build_constraint_matrices(build_h(n), n)
+            ref = reference_constraint_matrices(reference_build_h(n), n)
+            assert mats.A.keys() == ref.A.keys() and mats.B.keys() == ref.B.keys()
+            for key in ref.A:
+                assert np.array_equal(mats.A[key], ref.A[key]), (n, key)
+            for key in ref.B:
+                assert np.array_equal(mats.B[key], ref.B[key]), (n, key)
+            assert np.array_equal(mats.C, ref.C)
+
+
+def exact_h_table(n):
+    """The step table in rationals, as an object array of ``Fraction``."""
+    table = np.full((n - 1, n - 1), Fraction(0), dtype=object)
+    for i in range(1, n):
+        for k in range(1, i):
+            table[i - 1, k - 1] = Fraction(-2 * k, i * (i + 1))
+        table[i - 1, i - 1] = Fraction(2 * i, i + 1)
+    return table
+
+
+def exact_slack(n, table):
+    a = {i: Fraction(2 * (i - 1) * i, n * n) for i in range(2, n + 1)}
+    return _assemble_slack(table, a, Fraction(2, n), Fraction(1, n * n))
+
+
+def exact_rank1(n):
+    r = np.full(n + 1, Fraction(0), dtype=object)
+    r[n - 1] = Fraction(1)
+    r[n] = Fraction(-1, n)
+    return np.outer(r, r)
+
+
+class TestExactCertificate:
+    """``S = r r'`` with ``r = u_N - u_{N+1}/N`` holds in exact rational
+    arithmetic, through the library's own slack assembly."""
+
+    def test_slack_equals_rank1_in_rationals(self):
+        for n in [*range(2, 41), 60, 97]:
+            s = exact_slack(n, exact_h_table(n))
+            assert all(type(v) is Fraction for v in s.flat), n
+            assert (s == exact_rank1(n)).all(), n
+
+    def test_float_table_is_the_rounded_rational_table(self):
+        for n in (2, 3, 17, 97):
+            assert np.array_equal(exact_h_table(n).astype(float), build_h(n).table)
+
+    def test_perturbed_table_breaks_the_identity(self):
+        n = 6
+        table = exact_h_table(n)
+        table[3, 1] += Fraction(1, 10 ** 9)
+        assert not (exact_slack(n, table) == exact_rank1(n)).all()
 
 
 class TestEquivalence:
