@@ -67,6 +67,7 @@ from .problems import (
     strongly_monotone_toy,
     toy_saddle,
     tv_instance,
+    tv_solution,
 )
 
 __version__ = "0.1.0"

@@ -3,11 +3,12 @@ certificate report as CSV.
 
 Configuration is flags-only. Exit codes: 0 on success, 1 on a
 configuration error, 2 on a numerical failure (singular resolvent
-system, inner-solver cap, unsolved reference LP, or a run that diverged
-to a non-finite value). Output is byte-identical across reruns of the
-same configuration on one machine with a fixed BLAS thread count (for
-example ``OPENBLAS_NUM_THREADS=1``): BLAS splits its sums by thread, so
-another thread count can move the last digits of ``R`` and the residuals.
+system, inner-solver cap, unsolved reference LP, unsolved TV reference,
+or a run that diverged to a non-finite value). Output is byte-identical
+across reruns of the same configuration on one machine with a fixed BLAS
+thread count (for example ``OPENBLAS_NUM_THREADS=1``): BLAS splits its
+sums by thread, so another thread count can move the last digits of
+``R`` and the residuals.
 """
 
 import argparse
@@ -16,7 +17,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import methods as mt
 from . import splitting as sp
@@ -24,11 +24,10 @@ from .operators import InnerSolverError, SingularSystemError, linear_resolvent
 from .pep_cert import verify_certificate
 from .problems import (PRESETS, basis_pursuit_instance, basis_pursuit_solution,
                        bilinear_game_instance, rotation_worst_case, toy_saddle,
-                       tv_instance)
+                       tv_instance, tv_solution)
 
 __all__ = ["RunConfig", "ConfigError", "run_experiment", "main"]
 
-ORACLE_ITERS = 10_000
 FIXED_POINT_TOL = 1e-9
 METHOD_NAMES = ("ppm", "accel", "guler1", "guler2", "restarted")
 DEFAULT_METHODS = {
@@ -246,6 +245,9 @@ def _run_prox_mult_experiment(config):
 
 def _run_pdhg_experiment(config):
     """fig4: bilinear game by (accelerated) PDHG; preconditioned residuals."""
+    # Imported here, so that only the runs that need it pay for scipy.linalg.
+    from scipy.linalg import cho_factor, cho_solve
+
     p = config.preset
     seed = _param(config, "seed", p["seed"])
     inst = bilinear_game_instance(p["d1"], p["d2"], seed)
@@ -299,18 +301,20 @@ def _run_admm_experiment(config):
     cons = sp.AffineConstraint(inst["D"], -np.eye(d2), np.zeros(d2))
     x0, z0, nu0 = np.zeros(p["d1"]), np.zeros(d2), np.zeros(d2)
 
-    def engine(accelerate, interval, adaptive, iters, radius=None):
-        return sp.admm(f, g, cons, rho, x0, z0, nu0, iters,
+    def engine(accelerate, interval, adaptive, iters, radius=None, x=x0, z=z0, nu=nu0):
+        return sp.admm(f, g, cons, rho, x, z, nu, iters,
                        accelerate=accelerate, restart_interval=interval,
                        adaptive_restart=adaptive, R=radius)
 
-    oracle = engine(False, None, False, ORACLE_ITERS)
-    nu_star = oracle.iterates["nu_hat"][-1] + rho * (cons.A @ oracle.iterates["x"][-1] - cons.c)
+    # R is the distance from the start to the dual Douglas-Rachford fixed
+    # point nu* + rho (A x* - c) that ADMM's iterates converge to.
+    x_star, nu_star = tv_solution(inst["H"], inst["b"], gamma)
+    check = math.sqrt(engine(False, None, False, 1, x=x_star, z=cons.A @ x_star,
+                             nu=nu_star).residuals[0])
     eta0 = nu0 + rho * (cons.A @ x0 - cons.c)
-    line, radius = _radius_line(
-        float(np.linalg.norm(eta0 - nu_star)),
-        f"estimate (dual fixed point of a {ORACLE_ITERS}-iteration plain oracle run)",
-        math.sqrt(oracle.residuals[-1]))
+    eta_star = nu_star + rho * (cons.A @ x_star - cons.c)
+    line, radius = _radius_line(float(np.linalg.norm(eta0 - eta_star)),
+                                "exact (KKT point of the TV least-squares problem)", check)
     meta = [f"# problem=tv_least_squares d1={p['d1']} p={p['p']} seed={seed}"
             f" gamma={_fmt(gamma)} rho={_fmt(rho)}"
             f" noise_scale={_fmt(p['noise_scale'])} iters={config.iters} x0=0", line]

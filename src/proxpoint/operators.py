@@ -11,7 +11,6 @@ semidefinite, and mu-strongly monotone when that part dominates
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
 __all__ = [
     "SingularSystemError",
@@ -181,6 +180,10 @@ def _factor(system):
     handling, so the results are bit-identical to it. ``rhs`` is never
     overwritten.
     """
+    # Imported here: scipy.linalg costs about a third of a second to load,
+    # and callers that never factor a matrix (the certificate) skip it.
+    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+
     with warnings.catch_warnings():
         # Singularity is handled by the explicit pivot check below.
         warnings.simplefilter("ignore", LinAlgWarning)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import DenseLinearOperator, QuadraticSaddle
+from .splitting import difference_matrix
 
 __all__ = [
     "SplitMix64",
@@ -24,6 +25,7 @@ __all__ = [
     "basis_pursuit_solution",
     "bilinear_game_instance",
     "tv_instance",
+    "tv_solution",
     "save_instance",
     "load_instance",
     "PRESETS",
@@ -213,8 +215,6 @@ def tv_instance(d1, p, seed, noise_scale=0.1):
     """
     if d1 < 2 or p < 1:
         raise ValueError("need d1 >= 2 and p >= 1")
-    from .splitting import difference_matrix
-
     rng = SplitMix64(seed)
     pieces = 5
     breaks = []
@@ -235,6 +235,119 @@ def tv_instance(d1, p, seed, noise_scale=0.1):
                            {"d1": d1, "p": p, "noise_scale": noise_scale},
                            {"H": h, "b": b, "x_true": x_true,
                             "D": difference_matrix(d1)})
+
+
+def _nnls(e, f, max_iters):
+    """Lawson-Hanson active-set solve of ``min ||E w - f|| s.t. w >= 0``.
+
+    Returns ``w``. Raises ``ArithmeticError`` when the passive set has not
+    settled after ``max_iters`` additions: the method terminates in exact
+    arithmetic, but rounding can make it cycle.
+    """
+    m = e.shape[1]
+    w = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * np.abs(e).sum(axis=0).max() * max(e.shape)
+    for _ in range(max_iters):
+        grad = e.T @ (f - e @ w)
+        grad[passive] = 0.0
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            return w
+        passive[j] = True
+        for _ in range(m):
+            s = np.zeros(m)
+            s[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+            blocked = passive & (s <= 0.0)
+            if not blocked.any():
+                w = s
+                break
+            # Step from w toward s until the first passive entry hits zero.
+            alpha = np.min(w[blocked] / (w[blocked] - s[blocked]))
+            w = w + alpha * (s - w)
+            passive &= w > tol
+            w[~passive] = 0.0
+    raise ArithmeticError(f"NNLS did not terminate in {max_iters} iterations")
+
+
+# Relative tolerance of the KKT gates on the TV least-squares solution.
+TV_KKT_TOL = 1e-9
+
+
+def tv_solution(h, b, gamma):
+    """Unique solution ``x*`` of ``min ||H x - b||^2/2 + gamma ||D x||_1``
+    (``D`` the first-difference matrix) and its multiplier ``nu*``.
+
+    ``nu*`` follows the Lagrangian of ``z = D x``, so ``H'(H x* - b) + D'nu*
+    = 0`` and ``nu*`` lies in ``gamma d||D x*||_1``; ``(x*, D x*, nu*)`` is
+    then a fixed point of ADMM on the split ``D x - z = 0``.
+
+    The residual ``u = b - H x*`` is the projection of ``b`` onto ``{u :
+    (H 1)'u = 0, ||C u||_inf <= gamma}`` with ``C = (D D')^-1 D H'``, the
+    generalized-lasso dual (Tibshirani and Taylor 2011), whose ``p - 1``
+    free coordinates make it a small least-distance program. Its active
+    constraints, found by NNLS, give the breaks ``S`` of ``x*`` and the
+    signs ``sigma`` of ``D x*`` there; the ``|S| + 1`` piece levels then
+    solve ``M'H'(H M theta - b) + gamma M'D'sigma = 0`` exactly.
+
+    Raises ``ArithmeticError`` when the pieces do not determine ``x*``
+    uniquely, when NNLS does not terminate, or when the result fails one
+    of the KKT gates (relative tolerance ``TV_KKT_TOL``): stationarity,
+    ``nu*_S = gamma sigma``, ``|nu*_j| <= gamma`` off ``S``, and ``sigma
+    (D x*)_S >= 0``.
+    """
+    h = np.asarray(h, dtype=float)
+    b = np.asarray(b, dtype=float)
+    p, d1 = h.shape
+    d = difference_matrix(d1)
+    ddt = d @ d.T
+    c_mat = np.linalg.solve(ddt, d @ h.T)
+    # Orthonormal basis of the plane (H 1)'u = 0, then the least-distance
+    # program min ||w|| s.t. G w >= g in w = q'(u - b) / s, by Lawson-Hanson.
+    # u = 0 is feasible, so s = ||q'b|| bounds the distance, and unit rows
+    # keep NNLS's tolerance meaningful even when gamma is small.
+    q = np.linalg.qr(h.sum(axis=1)[:, None], mode="complete")[0][:, 1:]
+    qb = q.T @ b
+    cq = c_mat @ q
+    shift = cq @ qb
+    g_mat = np.vstack([-cq, cq])
+    g_vec = np.concatenate([shift - gamma, -shift - gamma])
+    rows = np.linalg.norm(g_mat, axis=1)
+    rows[rows == 0.0] = 1.0
+    e = np.vstack([g_mat.T, g_vec / (np.linalg.norm(qb) or 1.0)]) / rows
+    f = np.zeros(p)
+    f[-1] = 1.0
+    lam = _nnls(e, f, max_iters=3 * e.shape[1])
+    # A multiplier on nu_j <= gamma is a rising break (D x)_j > 0, one on
+    # nu_j >= -gamma a falling one.
+    m2 = d1 - 1
+    sigma = np.zeros(m2)
+    sigma[lam[:m2] > 0.0] = 1.0
+    sigma[lam[m2:] > 0.0] = -1.0
+    support = sigma != 0.0
+    pieces = np.concatenate([[0], np.cumsum(support)])
+    basis = (pieces[:, None] == np.arange(pieces[-1] + 1)).astype(float)
+    hm = h @ basis
+    if np.linalg.matrix_rank(hm) < hm.shape[1]:
+        raise ArithmeticError(
+            f"TV solution not unique: {int(support.sum())} breaks and p={p}")
+    theta = np.linalg.solve(hm.T @ hm, hm.T @ b - gamma * (basis.T @ (d.T @ sigma)))
+    x = basis @ theta
+    grad = h.T @ (h @ x - b)
+    nu = -np.linalg.solve(ddt, d @ grad)
+    jumps = d @ x
+    scale = TV_KKT_TOL * max(1.0, gamma)
+    gates = {
+        "stationarity": np.max(np.abs(grad + d.T @ nu))
+        <= TV_KKT_TOL * max(1.0, np.max(np.abs(h.T @ b))),
+        "nu_S = gamma sigma": np.all(np.abs(nu[support] - gamma * sigma[support]) <= scale),
+        "|nu| <= gamma off S": np.all(np.abs(nu[~support]) <= gamma + scale),
+        "sign consistency": np.all(sigma[support] * jumps[support] >= 0.0),
+    }
+    failed = [name for name, ok in gates.items() if not ok]
+    if failed:
+        raise ArithmeticError(f"TV solution fails its KKT gates: {', '.join(failed)}")
+    return x, nu
 
 
 def save_instance(instance, path):

@@ -130,7 +130,7 @@ def header_fields(path):
 class TestReferenceSolutions:
     @pytest.mark.parametrize("experiment,source", [("fig3-desk", "exact"),
                                                    ("fig4-desk", "exact"),
-                                                   ("fig5-desk", "estimate")])
+                                                   ("fig5-desk", "exact")])
     def test_header_records_the_checked_reference(self, tmp_path, experiment, source):
         code, out = run_cli(tmp_path, "--experiment", experiment, "--iters", "40")
         assert code == 0
@@ -164,6 +164,45 @@ class TestReferenceSolutions:
         oracle_radius = np.sqrt(precond.quad(np.concatenate([u0, v0])
                                              - oracle.iterates["x"][-1]))
         assert radius == pytest.approx(oracle_radius, rel=1e-9)
+
+    def test_fig5_desk_radius_matches_plain_oracle(self, tmp_path):
+        # Plain ADMM converges to the dual Douglas-Rachford fixed point
+        # nu* + rho D x*, so a long run recovers the exact R.
+        code, out = run_cli(tmp_path, "--experiment", "fig5-desk", "--iters", "1",
+                            "--method", "ppm")
+        assert code == 0
+        radius = float(header_fields(out)[0]["R"])
+        inst = proxpoint.tv_instance(40, 5, 1)
+        d, rho = inst["D"], 0.05
+        f = proxpoint.ProxDescriptor.quadratic(inst["H"], inst["b"])
+        g = proxpoint.ProxDescriptor.l1(39, 3.0)
+        cons = proxpoint.AffineConstraint(d, -np.eye(39), np.zeros(39))
+        oracle = proxpoint.admm(f, g, cons, rho, np.zeros(40), np.zeros(39),
+                                np.zeros(39), 10_000, accelerate=False)
+        eta_star = oracle.iterates["nu_hat"][-1] + rho * (d @ oracle.iterates["x"][-1])
+        assert radius == pytest.approx(np.linalg.norm(eta_star), rel=1e-9)
+
+    def test_perturbed_fig5_multiplier_leaves_bounds_empty(self, tmp_path, monkeypatch):
+        def perturbed(h, b, gamma):
+            x_star, nu_star = proxpoint.tv_solution(h, b, gamma)
+            return x_star, nu_star * (1.0 + 1e-3)
+
+        monkeypatch.setattr(cli, "tv_solution", perturbed)
+        code, out = run_cli(tmp_path, "--experiment", "fig5-desk", "--iters", "20")
+        assert code == 0
+        fields, line = header_fields(out)
+        assert float(fields["fixed_point_check"]) > cli.FIXED_POINT_TOL * float(fields["R"])
+        assert "bound=empty" in line
+        _, rows = parse_rows(out)
+        assert rows and all(r["bound"] == "" for r in rows)
+
+    def test_failed_tv_gate_exits_two_without_csv(self, tmp_path, monkeypatch):
+        from proxpoint import problems
+
+        monkeypatch.setattr(problems, "_nnls", lambda e, f, max_iters: np.zeros(e.shape[1]))
+        code, out = run_cli(tmp_path, "--experiment", "fig5-desk", "--iters", "20")
+        assert code == 2
+        assert not out.exists()
 
     def test_perturbed_fig4_reference_leaves_bounds_empty(self, tmp_path, monkeypatch):
         def perturbed(*args):
@@ -223,6 +262,19 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2",
                           "--method", "ppm")
         assert code == 0
+
+
+class TestImports:
+    def test_cli_import_loads_neither_scipy_linalg_nor_optimize(self):
+        # A fresh interpreter: this suite's conftest imports scipy.linalg.
+        src = str(Path(proxpoint.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, proxpoint.cli; print(sorted("
+             "m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDivergenceAndRestartFlags:

@@ -8,6 +8,7 @@ from proxpoint import (
     basis_pursuit_solution,
     bilinear_game_instance,
     check_monotone,
+    difference_matrix,
     linear_resolvent,
     load_instance,
     resolvent_linear,
@@ -16,8 +17,23 @@ from proxpoint import (
     strongly_monotone_toy,
     toy_saddle,
     tv_instance,
+    tv_solution,
 )
-from proxpoint.problems import rotation_instance, strongly_monotone_instance
+from proxpoint import problems
+from proxpoint.problems import PRESETS, rotation_instance, strongly_monotone_instance
+
+
+def assert_tv_kkt(h, b, gamma, x, nu, tol=1e-9):
+    """KKT conditions of ``min ||H x - b||^2/2 + gamma ||D x||_1`` with the
+    multiplier ``nu`` of ``z = D x``, the support read from ``x`` itself."""
+    d = difference_matrix(x.size)
+    stationarity = h.T @ (h @ x - b) + d.T @ nu
+    assert np.max(np.abs(stationarity)) <= tol * max(1.0, np.max(np.abs(h.T @ b)))
+    jumps = d @ x
+    support = jumps != 0.0
+    assert np.max(np.abs(nu), initial=0.0) <= gamma * (1.0 + tol)
+    assert_allclose(nu[support], gamma * np.sign(jumps[support]), rtol=0,
+                    atol=tol * max(1.0, gamma))
 
 
 class TestSplitMix64:
@@ -167,6 +183,37 @@ class TestTV:
         inst = tv_instance(100, 5, 1)
         assert inst["H"].shape == (5, 100)
         assert inst["D"].shape == (99, 100)
+
+    @pytest.mark.parametrize("preset", ["fig5", "fig5-desk"])
+    def test_solution_satisfies_kkt(self, preset):
+        p = PRESETS[preset]
+        inst = tv_instance(p["d1"], p["p"], p["seed"], p["noise_scale"])
+        x_star, nu_star = tv_solution(inst["H"], inst["b"], p["gamma"])
+        assert_tv_kkt(inst["H"], inst["b"], p["gamma"], x_star, nu_star)
+        # At most p - 1 breaks, or the pieces would not fix x* uniquely.
+        breaks = np.count_nonzero(inst["D"] @ x_star)
+        assert 1 <= breaks <= p["p"] - 1
+
+    def test_wrong_support_fails_the_gates(self, monkeypatch):
+        # An empty active set makes x* constant, so |nu_j| exceeds gamma.
+        monkeypatch.setattr(problems, "_nnls", lambda e, f, max_iters: np.zeros(e.shape[1]))
+        inst = tv_instance(40, 5, 1)
+        with pytest.raises(ArithmeticError, match="KKT gates"):
+            tv_solution(inst["H"], inst["b"], 3.0)
+
+    def test_nnls_matches_scipy(self):
+        from scipy.optimize import nnls
+
+        rng = SplitMix64(11)
+        for rows, cols in [(5, 30), (8, 8), (3, 50)]:
+            e, f = rng.normal_matrix(rows, cols), rng.normals(rows)
+            assert_allclose(problems._nnls(e, f, 3 * cols), nnls(e, f)[0],
+                            rtol=0, atol=1e-12)
+
+    def test_nnls_iteration_cap_raises(self):
+        e = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ArithmeticError, match="did not terminate"):
+            problems._nnls(e, np.array([1.0, 1.0]), max_iters=1)
 
 
 class TestSerialization:

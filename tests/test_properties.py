@@ -1,18 +1,26 @@
 """Property tests, derandomized so that tier-1 runs are deterministic."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxpoint import (
+    AffineConstraint,
+    ProxDescriptor,
     SplitMix64,
     accelerated_ppm,
+    admm,
     linear_resolvent,
     ppm,
     restarted,
+    tv_instance,
+    tv_solution,
     verify_certificate,
 )
 from conftest import random_monotone_operator
+from test_problems import assert_tv_kkt
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 SEEDS = st.integers(min_value=0, max_value=2 ** 64 - 1)
@@ -58,3 +66,21 @@ def test_restart_beyond_horizon_is_accelerated(seed, dim, iters, extra):
     trace_a = accelerated_ppm(resolvent, x0, iters)
     assert np.array_equal(trace_r.residuals, trace_a.residuals)
     assert trace_r.restarts == []
+
+
+@PROPERTY
+@given(seed=SEEDS, d1=st.integers(2, 80), p=st.integers(1, 8),
+       log_gamma=st.floats(-3.0, 2.0), noise_scale=st.sampled_from([0.0, 0.1, 1.0]))
+def test_tv_solution_is_a_kkt_and_admm_fixed_point(seed, d1, p, log_gamma, noise_scale):
+    gamma = 10.0 ** log_gamma
+    inst = tv_instance(d1, p, seed, noise_scale)
+    x_star, nu_star = tv_solution(inst["H"], inst["b"], gamma)
+    assert_tv_kkt(inst["H"], inst["b"], gamma, x_star, nu_star)
+    # One plain ADMM step from (x*, D x*, nu*) stays put.
+    d, rho = inst["D"], 0.05
+    cons = AffineConstraint(d, -np.eye(d1 - 1), np.zeros(d1 - 1))
+    step = admm(ProxDescriptor.quadratic(inst["H"], inst["b"]),
+                ProxDescriptor.l1(d1 - 1, gamma), cons, rho,
+                x_star, d @ x_star, nu_star, 1, accelerate=False)
+    radius = float(np.linalg.norm(nu_star + rho * (d @ x_star)))
+    assert math.sqrt(step.residuals[0]) <= 1e-9 * max(1.0, radius)
