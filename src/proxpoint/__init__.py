@@ -11,13 +11,9 @@ from .operators import (
     SingularSystemError,
     check_monotone,
     linear_resolvent,
-    preconditioned_resolvent,
     preconditioned_resolvent_map,
-    resolvent_linear,
-    saddle_resolvent,
     saddle_resolvent_map,
     yosida,
-    yosida_apply,
 )
 from .methods import (
     Momentum,

@@ -39,10 +39,27 @@ DEFAULT_METHODS = {
 }
 _VARIANT_OF = {"ppm": "plain", "accel": "proposed",
                "guler1": "guler1", "guler2": "guler2"}
+# The optional flags each figure reads besides --iters; the restart flags
+# are read only by the restarted method and --nmax only by cert. Any other
+# flag is a configuration error rather than silently ignored.
+_FIGURE_FLAGS = {
+    "fig1": ("lam",),
+    "fig2": ("lam", "mu"),
+    "fig3": ("lam", "seed"),
+    "fig4": ("tau", "sigma", "seed"),
+    "fig5": ("rho", "gamma", "seed"),
+}
+_OPTIONAL_FLAGS = ("iters", "lam", "mu", "rho", "tau", "sigma", "gamma", "seed",
+                   "restart", "adaptive_restart", "nmax")
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _flag(name):
+    """Command-line spelling of a :class:`RunConfig` field."""
+    return "--" + {"lam": "lambda"}.get(name, name).replace("_", "-")
 
 
 @dataclass
@@ -61,7 +78,7 @@ class RunConfig:
     seed: int | None = None
     restart: int | None = None
     adaptive_restart: bool = False
-    nmax: int = 60
+    nmax: int | None = None
     out: str = "experiment.csv"
     preset: dict = field(default_factory=dict)
 
@@ -80,19 +97,31 @@ class RunConfig:
                 if base == "fig5" and m.startswith("guler"):
                     raise ConfigError(
                         "guler variants are not defined for the ADMM experiment")
-            if self.iters is None:
-                self.iters = self.preset["iters"]
+            reads = {"iters", *_FIGURE_FLAGS[base]}
+            if "restarted" in self.methods:
+                reads |= {"restart", "adaptive_restart"}
         else:
             if self.methods:
                 raise ConfigError("the certificate report takes no --method")
+            reads = {"nmax"}
+        for name in _OPTIONAL_FLAGS:
+            value = getattr(self, name)
+            if name not in reads and value is not None and value is not False:
+                raise ConfigError(
+                    f"{_flag(name)} is not read by the {self.experiment} experiment")
+        if self.experiment == "cert":
+            if self.nmax is None:
+                self.nmax = 60
             if self.nmax < 2:
                 raise ConfigError("--nmax must be at least 2")
+        elif self.iters is None:
+            self.iters = self.preset["iters"]
         if self.iters is not None and self.iters < 1:
             raise ConfigError("--iters must be positive")
         for name in ("lam", "mu", "rho", "tau", "sigma", "gamma"):
             value = getattr(self, name)
             if value is not None and value <= 0:
-                raise ConfigError(f"--{name} must be positive")
+                raise ConfigError(f"{_flag(name)} must be positive")
         if self.restart is not None and self.restart < 1:
             raise ConfigError("--restart must be at least 1")
         if self.restart is not None and self.adaptive_restart:
@@ -396,8 +425,9 @@ def _build_parser():
                         help="restart interval for the restarted method")
     parser.add_argument("--adaptive-restart", action="store_true",
                         help="restart whenever the residual increases")
-    parser.add_argument("--nmax", type=int, default=60,
-                        help="largest horizon for the certificate report")
+    parser.add_argument("--nmax", type=int,
+                        help="largest horizon for the certificate report "
+                             "(default 60)")
     parser.add_argument("--out", default="experiment.csv")
     return parser
 

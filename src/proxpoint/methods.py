@@ -143,7 +143,17 @@ class Momentum:
 
 def _euclidean_sq(x_new, y):
     diff = x_new - y
-    return float(diff @ diff)
+    # The same BLAS dot kernel as ``diff @ diff``, with less dispatch overhead.
+    return float(diff.dot(diff))
+
+
+def _extrapolation_error(y, g):
+    """The divergence error when the point ``y`` fed to step ``g`` is not
+    finite, else None; checked only once step ``g`` has failed."""
+    if not np.isfinite(y).all():
+        return FloatingPointError(
+            f"non-finite extrapolated point after iteration {g - 1}")
+    return None
 
 
 def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
@@ -158,16 +168,23 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     or extrapolated point raises ``FloatingPointError``; numpy's own
     overflow and invalid-value warnings are silenced inside the loop, so
     that error is the only report of a divergence.
+
+    Each point is scanned for non-finite entries once. With the Euclidean
+    residual that scan is the residual itself: a non-finite entry of
+    ``x_{i+1}`` or of ``y_i`` makes it inf or nan. A step that validates
+    its input (every resolvent map does) fails on a non-finite ``y_i``
+    first; such a failure, or a non-finite residual, is reported as the
+    non-finite extrapolated point after iteration ``i`` whenever ``y_i``
+    is not finite. A custom residual may read only part of its arguments,
+    so the engine scans ``x_{i+1}`` and each extrapolated point itself.
+    The point after the last iteration is never formed.
     """
     if iters < 1:
         raise ValueError("iteration count must be at least 1")
     if interval is not None and interval < 1:
         raise ValueError("restart interval must be at least 1")
     x0 = as_vector(x0)
-    # Every y is finite (x0 by as_vector, later points by the checks
-    # below), so a non-finite entry of x_new already makes the Euclidean
-    # residual inf or nan; a custom residual may read only part of x_new.
-    scan_x = residual_sq is not _euclidean_sq
+    scan = residual_sq is not _euclidean_sq
     mom = Momentum(variant)
     x = y = y_prev = x0
     xs, ys, residuals, gaps, restarts = [x0], [], [], [], []
@@ -175,22 +192,27 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     prev_res = None
     with np.errstate(over="ignore", invalid="ignore"):
         for g in range(1, iters + 1):
-            x_new = np.asarray(step(y), dtype=float)
+            try:
+                x_new = np.asarray(step(y), dtype=float)
+            except Exception as exc:
+                err = _extrapolation_error(y, g)
+                if err is None:
+                    raise
+                raise err from exc
             res = residual_sq(x_new, y)
-            if not (math.isfinite(res)
-                    and (not scan_x or np.isfinite(x_new).all())):
-                raise FloatingPointError(
+            if not (math.isfinite(res) and (not scan or np.isfinite(x_new).all())):
+                raise _extrapolation_error(y, g) or FloatingPointError(
                     f"non-finite residual or iterate at iteration {g}")
             ys.append(y)
             xs.append(x_new)
             residuals.append(res)
             if gap is not None:
                 gaps.append(gap(x_new))
+            if g == iters:
+                break
             since_restart += 1
-            do_restart = g < iters and (
-                (interval is not None and since_restart >= interval)
-                or (adaptive and prev_res is not None and res > prev_res))
-            if do_restart:
+            if ((interval is not None and since_restart >= interval)
+                    or (adaptive and prev_res is not None and res > prev_res)):
                 mom.reset()
                 x = y = y_prev = x_new
                 restarts.append(g)
@@ -198,7 +220,7 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
                 prev_res = None
             else:
                 y_new = mom.update(x_new, x, y, y_prev)
-                if y_new is not x_new and not np.isfinite(y_new).all():
+                if scan and y_new is not x_new and not np.isfinite(y_new).all():
                     raise FloatingPointError(
                         f"non-finite extrapolated point after iteration {g}")
                 x, y_prev, y = x_new, y, y_new
@@ -208,7 +230,8 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     bounds = None
     if (R is not None and rate is not None and not adaptive
             and (interval is None or interval >= iters)):
-        bounds = np.array([rate(R, i) for i in idx])
+        # Python ints, not numpy scalars: the same floats, about 8x faster.
+        bounds = np.array([rate(R, i) for i in range(1, iters + 1)])
     xs, ys = np.array(xs), np.array(ys)
     return ResidualTrace(idx, np.array(residuals), bounds, xs, ys, restarts,
                          gaps=np.array(gaps) if gap is not None else None,

@@ -22,13 +22,9 @@ __all__ = [
     "as_vector",
     "check_monotone",
     "linear_resolvent",
-    "resolvent_linear",
     "preconditioned_resolvent_map",
-    "preconditioned_resolvent",
     "saddle_resolvent_map",
-    "saddle_resolvent",
     "yosida",
-    "yosida_apply",
 ]
 
 # Pivots below this are treated as a singular resolvent system.
@@ -236,11 +232,6 @@ def linear_resolvent(op, lam):
     return apply
 
 
-def resolvent_linear(op, lam, y):
-    """One-shot resolvent evaluation ``(I + lam*M)^{-1} y``."""
-    return linear_resolvent(op, lam)(y)
-
-
 def preconditioned_resolvent_map(op, precond, lam):
     """Preconditioned resolvent ``y -> (P + lam*M)^{-1} P y``, factored once."""
     lam = _check_positive(lam)
@@ -256,11 +247,6 @@ def preconditioned_resolvent_map(op, precond, lam):
         return solve(p @ as_vector(y))
 
     return apply
-
-
-def preconditioned_resolvent(op, precond, lam, y):
-    """One-shot preconditioned resolvent, solving ``(P + lam*M) x = P y``."""
-    return preconditioned_resolvent_map(op, precond, lam)(y)
 
 
 class QuadraticSaddle:
@@ -305,6 +291,34 @@ class QuadraticSaddle:
         """Saddle gap ``phi(u, v*) - phi(u*, v)``; nonnegative at a saddle."""
         return self.value(u, v_star) - self.value(u_star, v)
 
+    def gap_scorer(self, u_star, v_star):
+        """``x -> gap(x[:d1], x[d1:], u_star, v_star)`` for stacked iterates.
+
+        The terms that depend only on ``(u*, v*)`` are computed once, and
+        every other term in the operation order of :meth:`value`, so each
+        score is bit-identical to :meth:`gap`. The iterate is not
+        validated: it must be a finite float vector of length ``d1 + d2``.
+        """
+        u_star, v_star = as_vector(u_star), as_vector(v_star)
+        q_uu, q_vv, k, a, b = self.q_uu, self.q_vv, self.k, self.a, self.b
+        d1 = q_uu.shape[0]
+        # value(u, v*) subtracts its last two terms one at a time, and
+        # value(u*, v) adds its first two before any iterate term.
+        vqv_star = 0.5 * v_star @ (q_vv @ v_star)
+        bv_star = b @ v_star
+        head_u_star = 0.5 * u_star @ (q_uu @ u_star) + a @ u_star
+        k_u_star = k @ u_star
+
+        def score(x):
+            u, v = x[:d1], x[d1:]
+            at_v_star = float(0.5 * u @ (q_uu @ u) + a @ u + v_star @ (k @ u)
+                              - vqv_star - bv_star)
+            at_u_star = float(head_u_star + v @ k_u_star
+                              - 0.5 * v @ (q_vv @ v) - b @ v)
+            return at_v_star - at_u_star
+
+        return score
+
     def stacked_operator(self):
         """Saddle subdifferential as ``(linear part, constant shift)``.
 
@@ -340,18 +354,6 @@ def saddle_resolvent_map(phi, lam):
     return apply
 
 
-def saddle_resolvent(phi, lam, u_hat, v_hat):
-    """Resolve the lam-regularized saddle problem at ``(u_hat, v_hat)``.
-
-    Returns the unique saddle of ``phi(u, v) + ||u - u_hat||^2/(2 lam)
-    - ||v - v_hat||^2/(2 lam)``, i.e. the resolvent of the saddle
-    subdifferential evaluated at the stacked point.
-    """
-    d1, _ = phi.dims
-    x = saddle_resolvent_map(phi, lam)(np.concatenate([as_vector(u_hat), as_vector(v_hat)]))
-    return x[:d1], x[d1:]
-
-
 def yosida(resolvent, lam):
     """Yosida regularization ``(I - J)/lam`` of the operator behind ``resolvent``.
 
@@ -365,8 +367,3 @@ def yosida(resolvent, lam):
         return (y - resolvent(y)) / lam
 
     return apply
-
-
-def yosida_apply(resolvent, lam, y):
-    """One-shot Yosida evaluation ``(y - J(y)) / lam``."""
-    return yosida(resolvent, lam)(y)

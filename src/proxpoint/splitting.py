@@ -281,10 +281,7 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     resolvent = saddle_resolvent_map(phi, lam)
     d1, _ = phi.dims
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    gap = None
-    if saddle is not None:
-        u_star, v_star = as_vector(saddle[0]), as_vector(saddle[1])
-        gap = lambda x: phi.gap(x[:d1], x[d1:], u_star, v_star)
+    gap = None if saddle is None else phi.gap_scorer(*saddle)
     trace = _iterate(resolvent, x0, iters, variant, restart_interval,
                      adaptive_restart, R, gap=gap)
     return _split_uv(trace, d1)

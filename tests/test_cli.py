@@ -56,6 +56,47 @@ class TestConfigValidation:
         code, _ = run_cli(tmp_path, "--experiment", "cert", "--method", "ppm")
         assert code == 1
 
+    @pytest.mark.parametrize("args", [
+        ("fig1", "--seed", "5"),
+        ("fig2", "--seed", "0"),
+        ("fig1", "--mu", "0.1"),
+        ("fig3-desk", "--mu", "0.1"),
+        ("fig3", "--tau", "0.1"),
+        ("fig5-desk", "--sigma", "0.1"),
+        ("fig4-desk", "--rho", "0.1"),
+        ("fig2", "--gamma", "1"),
+        ("fig4", "--lambda", "1"),
+        ("fig1", "--nmax", "60"),
+        ("cert", "--iters", "7"),
+        ("cert", "--lambda", "2"),
+        ("cert", "--seed", "3"),
+        ("fig1", "--restart", "5"),
+        ("fig3-desk", "--method", "accel", "--adaptive-restart"),
+    ])
+    def test_flag_the_experiment_does_not_read_is_config_error(self, tmp_path, args):
+        code, out = run_cli(tmp_path, "--experiment", *args)
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("fig1", "--lambda", "0.5", "--iters", "3"),
+        ("fig2", "--mu", "0.1", "--restart", "5"),
+        ("fig3", "--seed", "5", "--lambda", "0.1"),
+        ("fig4", "--seed", "5", "--tau", "0.1", "--sigma", "0.1"),
+        ("fig5-desk", "--seed", "5", "--rho", "0.1", "--gamma", "1"),
+        ("fig1", "--method", "restarted", "--adaptive-restart"),
+        ("cert", "--nmax", "5"),
+    ])
+    def test_flags_the_experiment_reads_are_accepted(self, args):
+        cli.parse_config(["--experiment", *args])
+
+    def test_errors_name_the_flag_as_typed(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "--experiment", "fig1", "--lambda", "-1")[0] == 1
+        assert run_cli(tmp_path, "--experiment", "fig4-desk", "--lambda", "1")[0] == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --lambda must be positive",
+            "error: --lambda is not read by the fig4-desk experiment"]
+
 
 class TestFigureRuns:
     def test_fig1_columns_and_bounds(self, tmp_path):

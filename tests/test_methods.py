@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proxpoint import (
+    Momentum,
     StepCoeffs,
     accelerated_ppm,
     forward_method,
@@ -18,7 +19,8 @@ from proxpoint import (
     strongly_monotone_toy,
     yosida,
 )
-from proxpoint.methods import _euclidean_sq, _iterate
+from proxpoint.methods import (_euclidean_sq, _iterate, accelerated_rate_bound,
+                               ppm_rate_bound)
 from conftest import random_monotone_operator
 
 START = np.array([1.0, 0.0])
@@ -261,3 +263,71 @@ class TestOneScanPerIteration:
                            match="residual or iterate at iteration 3"):
             _iterate(step, START, 10, variant, residual_sq=residual_sq)
         assert len(calls) == 3
+
+
+# The bound radii of the figure CSVs (fig1 and fig2 have R = 1).
+CSV_RADII = [1.0, 4.6140828301552661, 3.4701733465433127, 2323.8385264128929,
+             211.23626224192009, 17.748458383742907, 11.55333546588386]
+
+
+class TestBoundColumn:
+    @pytest.mark.parametrize("variant, rate", [("plain", ppm_rate_bound),
+                                               ("proposed", accelerated_rate_bound)])
+    def test_matches_the_numpy_scalar_column_bit_for_bit(self, variant, rate, rng):
+        iters = 3000
+        radii = CSV_RADII + list(1e3 * rng.uniforms(5)) + [1e-3, 7.0 / 3.0]
+        for radius in radii:
+            trace = _iterate(lambda y: 0.5 * y, START, iters, variant, R=radius)
+            expected = np.array([rate(radius, i) for i in np.arange(1, iters + 1)])
+            assert np.array_equal(trace.bounds, expected)
+
+
+class TestResidualDot:
+    def test_dot_matches_matmul_bit_for_bit(self, rng):
+        for n in range(1, 1001):
+            x, y = rng.normals(n), rng.normals(n)
+            diff = x - y
+            assert _euclidean_sq(x, y) == float(diff @ diff)
+
+
+@pytest.fixture
+def poison_after(monkeypatch):
+    """Make the extrapolated point formed after iteration ``g`` infinite."""
+
+    def poison(g):
+        update = Momentum.update
+
+        def poisoned(self, x_new, x_old, y_old, y_older):
+            y = update(self, x_new, x_old, y_old, y_older)
+            return np.full_like(y, np.inf) if self.i == g else y
+
+        monkeypatch.setattr(Momentum, "update", poisoned)
+
+    return poison
+
+
+class TestExtrapolationDivergence:
+    # A non-finite extrapolated point reaches the next step with the
+    # Euclidean residual; the error must still name the iteration after
+    # which the point was formed, whatever the step does with it.
+    @pytest.mark.parametrize("step", [rotation_resolvent(10), lambda y: 0.5 * y],
+                             ids=["validating resolvent", "plain step"])
+    @pytest.mark.parametrize("residual_sq", [_euclidean_sq, first_block_sq])
+    @pytest.mark.parametrize("variant", ["proposed", "guler1", "guler2"])
+    def test_same_error_and_iteration(self, poison_after, step, residual_sq, variant):
+        poison_after(4)
+        with pytest.raises(FloatingPointError) as info:
+            _iterate(step, START, 10, variant, residual_sq=residual_sq)
+        assert str(info.value) == "non-finite extrapolated point after iteration 4"
+
+    def test_final_extrapolation_is_never_formed(self, poison_after):
+        poison_after(10)
+        trace = accelerated_ppm(rotation_resolvent(10), START, 10, R=1.0)
+        assert len(trace) == 10 and np.all(np.isfinite(trace.residuals))
+
+    def test_a_step_failing_on_a_finite_point_keeps_its_error(self):
+        def step(y):
+            raise ValueError("step refused")
+
+        with pytest.raises(ValueError, match="step refused"):
+            accelerated_ppm(step, START, 3)

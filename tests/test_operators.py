@@ -10,14 +10,10 @@ from proxpoint import (
     SplitMix64,
     check_monotone,
     linear_resolvent,
-    preconditioned_resolvent,
     preconditioned_resolvent_map,
-    resolvent_linear,
-    saddle_resolvent,
     saddle_resolvent_map,
     strongly_monotone_toy,
     yosida,
-    yosida_apply,
 )
 from proxpoint import operators
 from proxpoint.operators import as_vector
@@ -29,20 +25,20 @@ ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
 class TestResolvent:
     def test_rotation_hand_solve(self):
         # (I + M)^{-1} = [[1, -1], [1, 1]] / 2
-        assert_allclose(resolvent_linear(ROTATION, 1.0, [1.0, 0.0]), [0.5, 0.5])
+        assert_allclose(linear_resolvent(ROTATION, 1.0)([1.0, 0.0]), [0.5, 0.5])
 
     def test_zero_operator_is_identity(self):
-        assert_allclose(resolvent_linear(np.zeros((2, 2)), 3.7, [3.0, -2.0]),
+        assert_allclose(linear_resolvent(np.zeros((2, 2)), 3.7)([3.0, -2.0]),
                         [3.0, -2.0])
 
     def test_scalar_strongly_monotone(self):
-        assert_allclose(resolvent_linear([[0.02]], 1.0, [1.02]), [1.0], rtol=1e-14)
+        assert_allclose(linear_resolvent([[0.02]], 1.0)([1.02]), [1.0], rtol=1e-14)
 
     def test_residual_of_solve(self, rng):
         op = random_monotone_operator(rng, 7)
         lam = 0.8
         y = rng.normals(7)
-        x = resolvent_linear(op, lam, y)
+        x = linear_resolvent(op, lam)(y)
         residual = np.linalg.norm((np.eye(7) + lam * op.entries) @ x - y)
         assert residual <= 1e-12 * np.linalg.norm(y)
 
@@ -55,7 +51,7 @@ class TestResolvent:
     def test_singular_system_raises(self):
         # M = -I makes I + M singular (non-monotone input).
         with pytest.raises(SingularSystemError):
-            resolvent_linear(-np.eye(3), 1.0, np.ones(3))
+            linear_resolvent(-np.eye(3), 1.0)
 
     def test_firm_nonexpansiveness(self, rng):
         for _ in range(100):
@@ -70,18 +66,18 @@ class TestPreconditionedResolvent:
     def test_identity_preconditioner_matches_plain(self, rng):
         op = random_monotone_operator(rng, 5)
         y = rng.normals(5)
-        assert_allclose(preconditioned_resolvent(op, np.eye(5), 0.9, y),
-                        resolvent_linear(op, 0.9, y), rtol=1e-13)
+        assert_allclose(preconditioned_resolvent_map(op, np.eye(5), 0.9)(y),
+                        linear_resolvent(op, 0.9)(y), rtol=1e-13)
 
     def test_zero_operator_returns_input(self):
         p = [[2.0, -1.0], [-1.0, 2.0]]
-        assert_allclose(preconditioned_resolvent(np.zeros((2, 2)), p, 1.0, [1.0, 1.0]),
+        assert_allclose(preconditioned_resolvent_map(np.zeros((2, 2)), p, 1.0)([1.0, 1.0]),
                         [1.0, 1.0], rtol=1e-14)
 
     def test_hand_solve(self):
         # (P + M) = [[2, 0], [-2, 2]], P y = [2, -1] -> x = [1, 0.5]
         p = [[2.0, -1.0], [-1.0, 2.0]]
-        assert_allclose(preconditioned_resolvent(ROTATION, p, 1.0, [1.0, 0.0]),
+        assert_allclose(preconditioned_resolvent_map(ROTATION, p, 1.0)([1.0, 0.0]),
                         [1.0, 0.5], rtol=1e-14)
 
     def test_preconditioner_validation(self):
@@ -94,23 +90,19 @@ class TestPreconditionedResolvent:
 class TestSaddleResolvent:
     def test_zero_saddle_returns_input(self):
         phi = QuadraticSaddle(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 3)))
-        u, v = saddle_resolvent(phi, 2.0, [1.0, -1.0], [0.0, 2.0, 3.0])
-        assert_allclose(u, [1.0, -1.0])
-        assert_allclose(v, [0.0, 2.0, 3.0])
+        x = saddle_resolvent_map(phi, 2.0)([1.0, -1.0, 0.0, 2.0, 3.0])
+        assert_allclose(x, [1.0, -1.0, 0.0, 2.0, 3.0])
 
     def test_scalar_bilinear_hand_solve(self):
         phi = QuadraticSaddle([[0.0]], [[1.0]], [[0.0]])
-        u, v = saddle_resolvent(phi, 1.0, [1.0], [0.0])
-        assert_allclose(u, [0.5])
-        assert_allclose(v, [0.5])
+        assert_allclose(saddle_resolvent_map(phi, 1.0)([1.0, 0.0]), [0.5, 0.5])
 
     def test_matches_equivalent_linear_operator(self):
         # The toy saddle's subdifferential is exactly the 2x2 toy operator.
         phi = QuadraticSaddle([[0.02]], [[1.0 / np.sqrt(99.0)]], [[0.02]])
         op = strongly_monotone_toy(100, 1.0, 0.02)
-        u, v = saddle_resolvent(phi, 1.0, [1.0], [0.0])
-        assert_allclose(np.array([u[0], v[0]]),
-                        resolvent_linear(op, 1.0, [1.0, 0.0]), rtol=1e-14)
+        assert_allclose(saddle_resolvent_map(phi, 1.0)([1.0, 0.0]),
+                        linear_resolvent(op, 1.0)([1.0, 0.0]), rtol=1e-14)
 
     def test_agrees_with_stacked_resolvent(self, rng):
         b1 = rng.normal_matrix(3, 3)
@@ -121,27 +113,39 @@ class TestSaddleResolvent:
         lam = 0.6
         u_hat, v_hat = rng.normals(3), rng.normals(2)
         y = np.concatenate([u_hat, v_hat])
-        expected = resolvent_linear(linear, lam, y - lam * shift)
-        u, v = saddle_resolvent(phi, lam, u_hat, v_hat)
-        assert np.max(np.abs(np.concatenate([u, v]) - expected)) <= 1e-10
+        expected = linear_resolvent(linear, lam)(y - lam * shift)
+        assert np.max(np.abs(saddle_resolvent_map(phi, lam)(y) - expected)) <= 1e-10
 
     def test_requires_psd_blocks(self):
         with pytest.raises(ValueError):
             QuadraticSaddle([[-1.0]], [[1.0]], [[0.0]])
 
 
+class TestGapScorer:
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (2, 3), (5, 4)])
+    def test_matches_gap_bit_for_bit(self, rng, d1, d2):
+        b1, b2 = rng.normal_matrix(d1, d1), rng.normal_matrix(d2, d2)
+        phi = QuadraticSaddle(b1 @ b1.T, rng.normal_matrix(d2, d1), b2 @ b2.T,
+                              a=rng.normals(d1), b=rng.normals(d2))
+        u_star, v_star = rng.normals(d1), rng.normals(d2)
+        score = phi.gap_scorer(u_star, v_star)
+        points = [rng.normals(d1 + d2) * 10.0 ** k for k in range(-3, 4)]
+        assert np.array_equal([score(x) for x in points],
+                              [phi.gap(x[:d1], x[d1:], u_star, v_star) for x in points])
+
+
 class TestYosida:
     def test_zero_operator_gives_zero(self):
         resolvent = linear_resolvent(np.zeros((3, 3)), 2.0)
-        assert_allclose(yosida_apply(resolvent, 2.0, [1.0, -2.0, 3.0]), np.zeros(3))
+        assert_allclose(yosida(resolvent, 2.0)([1.0, -2.0, 3.0]), np.zeros(3))
 
     def test_rotation_value(self):
         resolvent = linear_resolvent(ROTATION, 1.0)
-        assert_allclose(yosida_apply(resolvent, 1.0, [1.0, 0.0]), [0.5, -0.5])
+        assert_allclose(yosida(resolvent, 1.0)([1.0, 0.0]), [0.5, -0.5])
 
     def test_scalar_value(self):
         resolvent = linear_resolvent([[0.02]], 1.0)
-        assert_allclose(yosida_apply(resolvent, 1.0, [1.02]), [0.02], rtol=1e-12)
+        assert_allclose(yosida(resolvent, 1.0)([1.02]), [0.02], rtol=1e-12)
 
     def test_identity_and_cocoercivity(self, rng):
         for _ in range(100):

@@ -11,7 +11,6 @@ from proxpoint import (
     difference_matrix,
     linear_resolvent,
     load_instance,
-    resolvent_linear,
     rotation_worst_case,
     save_instance,
     strongly_monotone_toy,
@@ -78,7 +77,7 @@ class TestOperators:
     def test_rotation_n5_resolvent(self):
         op = rotation_worst_case(5, 1.0)
         assert_allclose(op.entries, [[0.0, 0.5], [-0.5, 0.0]])
-        assert_allclose(resolvent_linear(op, 1.0, [1.0, 0.0]), [0.8, 0.4],
+        assert_allclose(linear_resolvent(op, 1.0)([1.0, 0.0]), [0.8, 0.4],
                         rtol=1e-14)
 
     def test_rotation_symmetric_part_vanishes(self):
@@ -101,7 +100,7 @@ class TestOperators:
 
     def test_large_mu_dominates(self):
         op = strongly_monotone_toy(10, 1.0, 1e6)
-        x = resolvent_linear(op, 1.0, [1.0, 0.0])
+        x = linear_resolvent(op, 1.0)([1.0, 0.0])
         assert_allclose(x, np.array([1.0, 0.0]) / (1.0 + 1e6),
                         rtol=1e-6, atol=1e-9)
 
