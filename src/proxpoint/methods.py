@@ -81,9 +81,9 @@ class ResidualTrace:
     ``restarts`` lists the global iteration indices after which the engine
     re-initialized. ``gaps`` holds saddle gaps when a saddle point was
     supplied and ``infeasibility`` the ADMM constraint violation
-    ``||A x_{i+1} + B z_i - c||^2``. ``iterates`` maps names to views of
-    the stacked iterates (``x`` and ``y`` always, plus the blocks an
-    engine splits its point into).
+    ``||A x_{i+1} + B z_i - c||^2``. ``iterates`` holds ``x`` and ``y``,
+    the arrays ``xs`` and ``ys``; ADMM replaces ``x`` by its primal
+    iterates and adds ``z``, ``nu_hat`` and ``eta_hat``.
     """
 
     iterations: np.ndarray
@@ -98,10 +98,6 @@ class ResidualTrace:
 
     def __len__(self):
         return len(self.iterations)
-
-    @property
-    def final_x(self):
-        return self.xs[-1]
 
 
 class Momentum:

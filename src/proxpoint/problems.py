@@ -6,7 +6,7 @@ same data can be reproduced outside Python. Instances round-trip through
 a plain-text entry format for cross-implementation comparison.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +17,8 @@ __all__ = [
     "SplitMix64",
     "ProblemInstance",
     "rotation_worst_case",
-    "rotation_instance",
     "strongly_monotone_toy",
     "toy_saddle",
-    "strongly_monotone_instance",
     "basis_pursuit_instance",
     "basis_pursuit_solution",
     "bilinear_game_instance",
@@ -88,13 +86,12 @@ class SplitMix64:
 @dataclass
 class ProblemInstance:
     """Tagged benchmark data: generated arrays plus everything needed to
-    regenerate them (kind, parameters, seed) and the optimum when known."""
+    regenerate them (kind, parameters, seed)."""
 
     kind: str
     seed: int | None
     params: dict
     data: dict
-    optimum: np.ndarray | None = field(default=None)
 
     def __getitem__(self, name):
         return self.data[name]
@@ -130,19 +127,6 @@ def toy_saddle(n, lam=1.0, mu=0.02):
     ``phi(u, v) = mu u^2/2 + s u v - mu v^2/2`` with ``s = 1/(lam sqrt(n-1))``."""
     s = 1.0 / (lam * np.sqrt(n - 1.0))
     return QuadraticSaddle([[mu]], [[s]], [[mu]])
-
-
-def rotation_instance(n, lam=1.0):
-    op = rotation_worst_case(n, lam)
-    return ProblemInstance("rotation", None, {"n": n, "lam": lam},
-                           {"M": op.entries}, optimum=np.zeros(2))
-
-
-def strongly_monotone_instance(n, lam=1.0, mu=0.02):
-    op = strongly_monotone_toy(n, lam, mu)
-    return ProblemInstance("strongly_monotone_toy", None,
-                           {"n": n, "lam": lam, "mu": mu},
-                           {"M": op.entries}, optimum=np.zeros(2))
 
 
 def basis_pursuit_instance(d1, d2, seed):

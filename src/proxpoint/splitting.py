@@ -223,31 +223,64 @@ def fista_strongly_convex(quadratic_part, l1_weight, x_init, tol=1e-10, max_iter
         raise ValueError("need strong convexity 0 < m <= L")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if max_iters < 0:
+        raise ValueError("iteration cap must be nonnegative")
     theta = (np.sqrt(big_l) - np.sqrt(m)) / (np.sqrt(big_l) + np.sqrt(m))
     step = 1.0 / big_l
     x = as_vector(x_init).copy()
     y = x.copy()
     best = np.inf
-    for _ in range(max_iters):
+    # max_iters steps take max_iters + 1 mapping evaluations; the last one
+    # checks the final iterate.
+    for k in range(max_iters + 1):
         grad_x = q_mat @ x + q_vec
         mapping = big_l * (x - soft_threshold(x - step * grad_x, step * l1_weight))
         norm = np.linalg.norm(mapping)
         best = min(best, norm)
         if norm <= tol:
             return x
+        if k == max_iters:
+            raise InnerSolverError("inner solver cap hit", best, tol)
         x_next = soft_threshold(y - step * (q_mat @ y + q_vec), step * l1_weight)
         y = x_next + theta * (x_next - x)
         x = x_next
-    grad_x = q_mat @ x + q_vec
-    norm = np.linalg.norm(big_l * (x - soft_threshold(x - step * grad_x, step * l1_weight)))
-    if norm <= tol:
-        return x
-    raise InnerSolverError("inner solver cap hit", min(best, norm), tol)
 
 
-def _split_uv(trace, d1):
-    trace.iterates.update(u=trace.xs[:, :d1], v=trace.xs[:, d1:])
-    return trace
+def _subproblem(f, q_mat, inner, warm, spectrum):
+    """``solve(q) = argmin_x f(x) + x'Qx/2 + q'x`` for the fixed ``Q =
+    q_mat``, the one subproblem rule of the splitting engines.
+
+    A quadratic, linear or zero ``f`` adds its own quadratic and linear
+    terms, so ``solve`` is one solve with a matrix factored here. An l1
+    ``f`` runs strongly convex FISTA warm-started at the previous solution
+    (first at ``warm``), with ``(m, L) = spectrum()`` bounding the
+    spectrum of ``Q``; ``spectrum`` is called here and may raise
+    ``ValueError`` when ``Q`` is not positive definite.
+    """
+    if f.kind == "l1":
+        m, big_l = spectrum()
+
+        def solve(q):
+            nonlocal warm
+            # Tolerance relative to the subproblem scale: the mapping-norm
+            # floor in double precision grows with ||q||, so an absolute
+            # tolerance is unattainable once iterates are large.
+            tol = inner.tol * max(1.0, float(np.linalg.norm(q)))
+            warm = fista_strongly_convex((q_mat, q, m, big_l), f.weight, warm,
+                                         tol=tol, max_iters=inner.max_iters)
+            return warm
+
+        return solve
+    if f.kind == "quadratic":
+        q_mat, q_f = q_mat + f.h.T @ f.h, f.h.T @ f.b
+    elif f.kind == "linear":
+        q_f = -f.a
+    elif f.kind == "zero":
+        q_f = 0.0
+    else:
+        raise ValueError(f"unsupported prox kind {f.kind!r}")
+    solve_system = _factor(q_mat)
+    return lambda q: solve_system(q_f - q)
 
 
 def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
@@ -279,12 +312,10 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     from .operators import saddle_resolvent_map
 
     resolvent = saddle_resolvent_map(phi, lam)
-    d1, _ = phi.dims
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
     gap = None if saddle is None else phi.gap_scorer(*saddle)
-    trace = _iterate(resolvent, x0, iters, variant, restart_interval,
-                     adaptive_restart, R, gap=gap)
-    return _split_uv(trace, d1)
+    return _iterate(resolvent, x0, iters, variant, restart_interval,
+                    adaptive_restart, R, gap=gap)
 
 
 def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
@@ -296,9 +327,11 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
 
     The primal update minimizes the Lagrangian at the extrapolated dual
     point plus the augmented term ``lam ||A u - b||^2 / 2`` and the
-    proximal term ``||u - u_hat||^2 / (2 lam)``; it is a single linear
-    solve for quadratic/linear/zero ``f`` and an inner strongly convex
-    FISTA run for l1 ``f``. The stacked iterate is
+    proximal term ``||u - u_hat||^2 / (2 lam)``. That is the subproblem
+    ``f(u) + u'Qu/2 + q'u`` with ``Q = lam A'A + I/lam``, solved by the
+    rule ADMM's updates share: one linear solve for quadratic, linear or
+    zero ``f``, and a warm-started strongly convex FISTA run for l1 ``f``.
+    The stacked iterate is
     ``x_{i+1} = (u_{i+1}, v_hat_i + lam (A u_{i+1} - b))``.
     """
     if lam <= 0:
@@ -309,50 +342,20 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
     d1 = a_mat.shape[1]
     if f.dim != d1 or b.size != a_mat.shape[0]:
         raise ValueError("dimensions of f, A, b disagree")
-    ata = a_mat.T @ a_mat
     lam_atb = lam * (a_mat.T @ b)
-
-    if f.kind == "l1":
-        smooth_q = lam * ata + np.eye(d1) / lam
-        big_l = lam * operator_norm(a_mat) ** 2 + 1.0 / lam
-        state = {"warm": as_vector(u0).copy()}
-
-        def solve_u(u_hat, v_hat):
-            q_vec = a_mat.T @ v_hat - lam_atb - u_hat / lam
-            # Tolerance relative to the subproblem scale: the mapping-norm
-            # floor in double precision grows with ||q||, so an absolute
-            # tolerance is unattainable once iterates are large.
-            tol = inner.tol * max(1.0, float(np.linalg.norm(q_vec)))
-            u = fista_strongly_convex((smooth_q, q_vec, 1.0 / lam, big_l),
-                                      f.weight, state["warm"],
-                                      tol=tol, max_iters=inner.max_iters)
-            state["warm"] = u
-            return u
-    elif f.kind in ("quadratic", "linear", "zero"):
-        system = lam * ata + np.eye(d1) / lam
-        base = lam_atb.copy()
-        if f.kind == "quadratic":
-            system = system + f.h.T @ f.h
-            base += f.h.T @ f.b
-        elif f.kind == "linear":
-            base -= f.a
-        solve = _factor(system)
-
-        def solve_u(u_hat, v_hat):
-            return solve(base - a_mat.T @ v_hat + u_hat / lam)
-    else:
-        raise ValueError(f"unsupported f kind {f.kind!r}")
+    solve_u = _subproblem(
+        f, lam * (a_mat.T @ a_mat) + np.eye(d1) / lam, inner, u0,
+        lambda: (1.0 / lam, lam * operator_norm(a_mat) ** 2 + 1.0 / lam))
 
     def step(y):
         u_hat, v_hat = y[:d1], y[d1:]
-        u = solve_u(u_hat, v_hat)
+        u = solve_u(a_mat.T @ v_hat - lam_atb - u_hat / lam)
         v = v_hat + lam * (a_mat @ u - b)
         return np.concatenate([u, v])
 
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    trace = _iterate(step, x0, iters, variant, restart_interval,
-                     adaptive_restart, R)
-    return _split_uv(trace, d1)
+    return _iterate(step, x0, iters, variant, restart_interval,
+                    adaptive_restart, R)
 
 
 def pdhg_preconditioner(k, tau, sigma):
@@ -401,9 +404,8 @@ def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed",
         return float(du @ du / tau - 2.0 * (dv @ (k @ du)) + dv @ dv / sigma)
 
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    trace = _iterate(step, x0, iters, variant, restart_interval,
-                     adaptive_restart, R, residual_sq=residual_sq)
-    return _split_uv(trace, d1)
+    return _iterate(step, x0, iters, variant, restart_interval,
+                    adaptive_restart, R, residual_sq=residual_sq)
 
 
 def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed",
@@ -422,84 +424,40 @@ def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed",
         j2 = as_vector(resolvent2(eta))
         return as_vector(resolvent1(2.0 * j2 - eta)) + eta - j2
 
-    trace = _iterate(step, nu0, iters, variant, restart_interval,
-                     adaptive_restart, R)
-    trace.iterates.update(nu=trace.xs, eta=trace.ys)
-    return trace
+    return _iterate(step, nu0, iters, variant, restart_interval,
+                    adaptive_restart, R)
 
 
 def _admm_x_solver(f, constraint, rho, inner):
     a = constraint.A
     ata = a.T @ a
-    if f.kind in ("quadratic", "linear", "zero"):
-        system = rho * ata
-        base = np.zeros(a.shape[1])
-        if f.kind == "quadratic":
-            system = system + f.h.T @ f.h
-            base = f.h.T @ f.b
-        elif f.kind == "linear":
-            base = -f.a
-        solve_system = _factor(system)
 
-        def solve(nu_hat, z):
-            rhs = base + a.T @ (rho * (constraint.c - constraint.B @ z) - nu_hat)
-            return solve_system(rhs)
-
-        return solve
-    if f.kind == "l1":
+    def spectrum():
         m = rho * float(np.linalg.eigvalsh(ata)[0])
         if m <= 0:
             raise ValueError("l1 x-subproblem needs A'A positive definite")
-        big_l = rho * operator_norm(a) ** 2
-        smooth_q = rho * ata
-        state = {"warm": np.zeros(a.shape[1])}
+        return m, rho * operator_norm(a) ** 2
 
-        def solve(nu_hat, z):
-            q_vec = a.T @ (nu_hat - rho * (constraint.c - constraint.B @ z))
-            tol = inner.tol * max(1.0, float(np.linalg.norm(q_vec)))
-            x = fista_strongly_convex((smooth_q, q_vec, m, big_l), f.weight,
-                                      state["warm"], tol=tol,
-                                      max_iters=inner.max_iters)
-            state["warm"] = x
-            return x
-
-        return solve
-    raise ValueError(f"unsupported f kind {f.kind!r}")
+    solve = _subproblem(f, rho * ata, inner, np.zeros(a.shape[1]), spectrum)
+    return lambda nu_hat, z: solve(
+        a.T @ (nu_hat - rho * (constraint.c - constraint.B @ z)))
 
 
 def _admm_z_solver(g, constraint, rho, inner):
     b = constraint.B
-    if g.kind == "l1":
-        sign = None
-        if b.shape[0] == b.shape[1]:
-            if np.array_equal(b, -np.eye(b.shape[0])):
-                sign = -1.0
-            elif np.array_equal(b, np.eye(b.shape[0])):
-                sign = 1.0
-        if sign is None:
-            raise ValueError("l1 z-subproblem requires B = I or B = -I")
+    eye = np.eye(b.shape[0])
+    if g.kind == "l1" and (np.array_equal(b, eye) or np.array_equal(b, -eye)):
+        # B = +-I: the z-update is one soft-thresholding.
+        sign = 1.0 if np.array_equal(b, eye) else -1.0
+        return lambda eta_hat, x: soft_threshold(
+            sign * (constraint.c - constraint.A @ x - eta_hat / rho), g.weight / rho)
 
-        def solve(eta_hat, x):
-            anchor = constraint.c - constraint.A @ x - eta_hat / rho
-            return soft_threshold(sign * anchor, g.weight / rho)
+    def spectrum():
+        raise ValueError("l1 z-subproblem requires B = I or B = -I")
 
-        return solve
-    if g.kind in ("quadratic", "linear", "zero"):
-        system = rho * (b.T @ b)
-        base = np.zeros(b.shape[1])
-        if g.kind == "quadratic":
-            system = system + g.h.T @ g.h
-            base = g.h.T @ g.b
-        elif g.kind == "linear":
-            base = -g.a
-        solve_system = _factor(system)
-
-        def solve(eta_hat, x):
-            rhs = base + b.T @ (rho * (constraint.c - constraint.A @ x) - eta_hat)
-            return solve_system(rhs)
-
-        return solve
-    raise ValueError(f"unsupported g kind {g.kind!r}")
+    solve = _subproblem(g, rho * (b.T @ b), inner, np.zeros(b.shape[1]), spectrum)
+    return lambda eta_hat, x: solve(
+        b.T @ (eta_hat - rho * (constraint.c - constraint.A @ x)))
 
 
 def admm(f, g, constraint, rho, x0, z0, nu0, iters, accelerate=True,
@@ -516,6 +474,13 @@ def admm(f, g, constraint, rho, x0, z0, nu0, iters, accelerate=True,
     ADMM never extrapolates). Record ``i`` holds the infeasibility
     ``||A x_{i+1} + B z_i - c||^2``, whose ``rho^2`` multiple is the
     fixed-point residual of the underlying splitting iteration.
+
+    Both updates are subproblems ``f(x) + x'Qx/2 + q'x`` with ``Q = rho
+    A'A`` (``rho B'B`` and ``g`` for z), solved by the rule the proximal
+    method of multipliers' primal update uses: one linear solve for
+    quadratic, linear or zero functions, and a warm-started strongly
+    convex FISTA run for l1 ``f``, which needs ``A'A`` positive definite.
+    An l1 ``g`` needs ``B = I`` or ``B = -I`` and is one soft-thresholding.
 
     Returns a trace whose ``iterates`` hold ``x`` (rows ``x_0 ..
     x_{iters+1}``), ``z``, ``nu_hat`` and ``eta_hat``, the multiplier

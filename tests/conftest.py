@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from proxpoint import DenseLinearOperator, SplitMix64, StepCoeffs
+from proxpoint import (
+    DenseLinearOperator,
+    SplitMix64,
+    StepCoeffs,
+    fista_strongly_convex,
+    operator_norm,
+    soft_threshold,
+)
+from proxpoint.operators import _factor, as_vector
 from proxpoint.pep_cert import ConstraintMatrices, constraint_c, dual_multipliers
 
 
@@ -85,6 +93,122 @@ def reference_certificate_slack(n):
     s += c * constraint_c(n)
     s[n - 1, n - 1] -= 1.0
     return s
+
+
+# Per-kind subproblem solvers of the splitting engines before they shared
+# one subproblem rule: verbatim copies of the proximal method of
+# multipliers' u-update and of ADMM's x- and z-updates. The engines must
+# match them bit for bit (np.array_equal), apart from the re-associated
+# right-hand side of the u-update for quadratic and linear f.
+
+def reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0, inner):
+    """``(u_hat, v_hat) -> u`` of ``accelerated_prox_multipliers``."""
+    d1 = a_mat.shape[1]
+    ata = a_mat.T @ a_mat
+    lam_atb = lam * (a_mat.T @ b)
+
+    if f.kind == "l1":
+        smooth_q = lam * ata + np.eye(d1) / lam
+        big_l = lam * operator_norm(a_mat) ** 2 + 1.0 / lam
+        state = {"warm": as_vector(u0).copy()}
+
+        def solve_u(u_hat, v_hat):
+            q_vec = a_mat.T @ v_hat - lam_atb - u_hat / lam
+            tol = inner.tol * max(1.0, float(np.linalg.norm(q_vec)))
+            u = fista_strongly_convex((smooth_q, q_vec, 1.0 / lam, big_l),
+                                      f.weight, state["warm"],
+                                      tol=tol, max_iters=inner.max_iters)
+            state["warm"] = u
+            return u
+    elif f.kind in ("quadratic", "linear", "zero"):
+        system = lam * ata + np.eye(d1) / lam
+        base = lam_atb.copy()
+        if f.kind == "quadratic":
+            system = system + f.h.T @ f.h
+            base += f.h.T @ f.b
+        elif f.kind == "linear":
+            base -= f.a
+        solve = _factor(system)
+
+        def solve_u(u_hat, v_hat):
+            return solve(base - a_mat.T @ v_hat + u_hat / lam)
+    else:
+        raise ValueError(f"unsupported f kind {f.kind!r}")
+    return solve_u
+
+
+def reference_admm_x_solver(f, constraint, rho, inner):
+    a = constraint.A
+    ata = a.T @ a
+    if f.kind in ("quadratic", "linear", "zero"):
+        system = rho * ata
+        base = np.zeros(a.shape[1])
+        if f.kind == "quadratic":
+            system = system + f.h.T @ f.h
+            base = f.h.T @ f.b
+        elif f.kind == "linear":
+            base = -f.a
+        solve_system = _factor(system)
+
+        def solve(nu_hat, z):
+            rhs = base + a.T @ (rho * (constraint.c - constraint.B @ z) - nu_hat)
+            return solve_system(rhs)
+
+        return solve
+    if f.kind == "l1":
+        m = rho * float(np.linalg.eigvalsh(ata)[0])
+        if m <= 0:
+            raise ValueError("l1 x-subproblem needs A'A positive definite")
+        big_l = rho * operator_norm(a) ** 2
+        smooth_q = rho * ata
+        state = {"warm": np.zeros(a.shape[1])}
+
+        def solve(nu_hat, z):
+            q_vec = a.T @ (nu_hat - rho * (constraint.c - constraint.B @ z))
+            tol = inner.tol * max(1.0, float(np.linalg.norm(q_vec)))
+            x = fista_strongly_convex((smooth_q, q_vec, m, big_l), f.weight,
+                                      state["warm"], tol=tol,
+                                      max_iters=inner.max_iters)
+            state["warm"] = x
+            return x
+
+        return solve
+    raise ValueError(f"unsupported f kind {f.kind!r}")
+
+
+def reference_admm_z_solver(g, constraint, rho, inner):
+    b = constraint.B
+    if g.kind == "l1":
+        sign = None
+        if b.shape[0] == b.shape[1]:
+            if np.array_equal(b, -np.eye(b.shape[0])):
+                sign = -1.0
+            elif np.array_equal(b, np.eye(b.shape[0])):
+                sign = 1.0
+        if sign is None:
+            raise ValueError("l1 z-subproblem requires B = I or B = -I")
+
+        def solve(eta_hat, x):
+            anchor = constraint.c - constraint.A @ x - eta_hat / rho
+            return soft_threshold(sign * anchor, g.weight / rho)
+
+        return solve
+    if g.kind in ("quadratic", "linear", "zero"):
+        system = rho * (b.T @ b)
+        base = np.zeros(b.shape[1])
+        if g.kind == "quadratic":
+            system = system + g.h.T @ g.h
+            base = g.h.T @ g.b
+        elif g.kind == "linear":
+            base = -g.a
+        solve_system = _factor(system)
+
+        def solve(eta_hat, x):
+            rhs = base + b.T @ (rho * (constraint.c - constraint.A @ x) - eta_hat)
+            return solve_system(rhs)
+
+        return solve
+    raise ValueError(f"unsupported g kind {g.kind!r}")
 
 
 @pytest.fixture

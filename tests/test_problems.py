@@ -19,7 +19,7 @@ from proxpoint import (
     tv_solution,
 )
 from proxpoint import problems
-from proxpoint.problems import PRESETS, rotation_instance, strongly_monotone_instance
+from proxpoint.problems import PRESETS, ProblemInstance
 
 
 def assert_tv_kkt(h, b, gamma, x, nu, tol=1e-9):
@@ -217,8 +217,12 @@ class TestTV:
 
 class TestSerialization:
     @pytest.mark.parametrize("make", [
-        lambda: rotation_instance(100, 1.0),
-        lambda: strongly_monotone_instance(100, 1.0, 0.02),
+        # Seedless instances: the seed=None round trip.
+        lambda: ProblemInstance("rotation", None, {"n": 100, "lam": 1.0},
+                                {"M": rotation_worst_case(100, 1.0).entries}),
+        lambda: ProblemInstance("strongly_monotone_toy", None,
+                                {"n": 100, "lam": 1.0, "mu": 0.02},
+                                {"M": strongly_monotone_toy(100, 1.0, 0.02).entries}),
         lambda: basis_pursuit_instance(20, 5, 4),
         lambda: bilinear_game_instance(8, 3, 4),
         lambda: tv_instance(12, 3, 4),

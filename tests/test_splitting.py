@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -31,7 +33,13 @@ from proxpoint import (
 )
 from proxpoint import SplitMix64, splitting
 from proxpoint.methods import Momentum
-from conftest import lu_solve_factor, random_monotone_operator
+from conftest import (
+    lu_solve_factor,
+    random_monotone_operator,
+    reference_admm_x_solver,
+    reference_admm_z_solver,
+    reference_prox_multipliers_u_solver,
+)
 
 
 class TestSoftThreshold:
@@ -107,6 +115,25 @@ class TestFista:
             fista_strongly_convex((q, qv, 1.0, 4.0), 0.1, np.zeros(2),
                                   tol=1e-300, max_iters=3)
         assert info.value.achieved > 0.0
+
+    def test_zero_cap_checks_only_the_start(self):
+        q = np.diag([1.0, 4.0])
+        qv = np.array([5.0, -3.0])
+        # The unregularized minimizer: the mapping norm is exactly zero there.
+        x_min = np.array([-5.0, 0.75])
+        x = fista_strongly_convex((q, qv, 1.0, 4.0), 0.0, x_min, max_iters=0)
+        assert np.array_equal(x, x_min)
+        start = np.zeros(2)
+        with pytest.raises(InnerSolverError) as info:
+            fista_strongly_convex((q, qv, 1.0, 4.0), 0.1, start, max_iters=0)
+        mapping = 4.0 * (start - soft_threshold(start - 0.25 * (q @ start + qv),
+                                                 0.25 * 0.1))
+        assert info.value.achieved == np.linalg.norm(mapping)
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fista_strongly_convex((np.eye(2), np.ones(2), 1.0, 1.0), 0.1,
+                                  np.zeros(2), max_iters=-1)
 
 
 class TestSaddlePPM:
@@ -587,3 +614,94 @@ class TestFactoredSolves:
         for cons in (singular_x, singular_z):
             with pytest.raises(SingularSystemError):
                 admm(zero, zero, cons, 1.0, start, start, start, 2)
+
+
+SUBPROBLEM_KINDS = ("quadratic", "linear", "zero", "l1")
+
+
+def random_prox(kind, dim, rng):
+    if kind == "quadratic":
+        return ProxDescriptor.quadratic(rng.normal_matrix(dim + 1, dim),
+                                        rng.normals(dim + 1))
+    if kind == "linear":
+        return ProxDescriptor.linear(rng.normals(dim))
+    if kind == "zero":
+        return ProxDescriptor.zero(dim)
+    return ProxDescriptor.l1(dim, 0.7)
+
+
+class TestSubproblemRule:
+    # The engines' one subproblem rule against the per-kind solvers it
+    # replaced (conftest's reference_* copies).
+
+    @pytest.mark.parametrize("accelerate", [False, True])
+    @pytest.mark.parametrize("g_kind", SUBPROBLEM_KINDS)
+    @pytest.mark.parametrize("f_kind", SUBPROBLEM_KINDS)
+    def test_admm_matches_per_kind_solvers(self, f_kind, g_kind, accelerate,
+                                           monkeypatch):
+        rng = SplitMix64(100 + 4 * SUBPROBLEM_KINDS.index(f_kind)
+                         + SUBPROBLEM_KINDS.index(g_kind))
+        d1, d2 = 4, 6
+        # An l1 g needs B = +-I (both signs are covered across the two
+        # modes); a tall Gaussian A makes A'A positive definite.
+        b_mat = ((1.0 if accelerate else -1.0) * np.eye(d2) if g_kind == "l1"
+                 else rng.normal_matrix(d2, d2))
+        cons = AffineConstraint(rng.normal_matrix(d2, d1), b_mat, rng.normals(d2))
+        f, g = random_prox(f_kind, d1, rng), random_prox(g_kind, d2, rng)
+        x0, z0, nu0 = rng.normals(d1), rng.normals(d2), rng.normals(d2)
+
+        def run():
+            return admm(f, g, cons, 0.7, x0, z0, nu0, 30, accelerate=accelerate)
+
+        got = run()
+        monkeypatch.setattr(splitting, "_admm_x_solver", reference_admm_x_solver)
+        monkeypatch.setattr(splitting, "_admm_z_solver", reference_admm_z_solver)
+        want = run()
+        for name in ("xs", "ys", "residuals", "infeasibility"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("x", "z", "nu_hat", "eta_hat"):
+            assert np.array_equal(got.iterates[name], want.iterates[name])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("f_kind", SUBPROBLEM_KINDS)
+    def test_prox_multipliers_matches_per_kind_u_update(self, f_kind, seed):
+        rng = SplitMix64(seed)
+        d1, d2, lam = 8, 3, 0.6
+        a_mat, b = rng.normal_matrix(d2, d1), rng.normals(d2)
+        f = random_prox(f_kind, d1, rng)
+        u0, v0 = rng.normals(d1), rng.normals(d2)
+        inner = InnerSolverConfig()
+        trace = accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, 30,
+                                             inner=inner, restart_interval=12)
+        # Replay every step's point through the reference u-update, in
+        # order, so its warm starts follow the engine's.
+        solve_u = reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0, inner)
+        want = np.array([solve_u(y[:d1], y[d1:]) for y in trace.ys])
+        got = trace.xs[1:, :d1]
+        if f_kind in ("l1", "zero"):
+            assert np.array_equal(got, want)
+        else:
+            # The right-hand side is summed in another order than the
+            # reference's: per step at most 9.1e-16 of the largest entry
+            # over seeds 1-199.
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_l1_x_subproblem_needs_full_column_rank(self):
+        # A'A = diag(5, 0) is singular, so FISTA has no strong convexity.
+        a_mat = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        cons = AffineConstraint(a_mat, -np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="positive definite"):
+            admm(ProxDescriptor.l1(2, 1.0), ProxDescriptor.zero(3), cons, 1.0,
+                 np.zeros(2), np.zeros(3), np.zeros(3), 2)
+
+    def test_unknown_kind_rejected_by_both_engines(self):
+        huber = SimpleNamespace(kind="huber", dim=3)
+        zero = ProxDescriptor.zero(3)
+        cons = AffineConstraint(np.eye(3), -np.eye(3), np.zeros(3))
+        start = np.zeros(3)
+        with pytest.raises(ValueError, match="unsupported prox kind"):
+            accelerated_prox_multipliers(huber, np.eye(3), start, 1.0,
+                                         start, start, 2)
+        for f, g in ((huber, zero), (zero, huber)):
+            with pytest.raises(ValueError, match="unsupported prox kind"):
+                admm(f, g, cons, 1.0, start, start, start, 2)
