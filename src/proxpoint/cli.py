@@ -3,12 +3,13 @@ certificate report as CSV.
 
 Configuration is flags-only. Exit codes: 0 on success, 1 on a
 configuration error, 2 on a numerical failure (singular resolvent
-system, inner-solver cap, unsolved reference LP, unsolved TV reference,
-or a run that diverged to a non-finite value). Output is byte-identical
-across reruns of the same configuration on one machine with a fixed BLAS
-thread count (for example ``OPENBLAS_NUM_THREADS=1``): BLAS splits its
-sums by thread, so another thread count can move the last digits of
-``R`` and the residuals.
+system, inner-solver cap, a basis pursuit reference LP that is
+infeasible, does not terminate or fails its optimality gates, an
+unsolved TV reference, or a run that diverged to a non-finite value).
+Output is byte-identical across reruns of the same configuration on one
+machine with a fixed BLAS thread count (for example
+``OPENBLAS_NUM_THREADS=1``): BLAS splits its sums by thread, so another
+thread count can move the last digits of ``R`` and the residuals.
 """
 
 import argparse
@@ -274,9 +275,6 @@ def _run_prox_mult_experiment(config):
 
 def _run_pdhg_experiment(config):
     """fig4: bilinear game by (accelerated) PDHG; preconditioned residuals."""
-    # Imported here, so that only the runs that need it pay for scipy.linalg.
-    from scipy.linalg import cho_factor, cho_solve
-
     p = config.preset
     seed = _param(config, "seed", p["seed"])
     inst = bilinear_game_instance(p["d1"], p["d2"], seed)
@@ -298,7 +296,7 @@ def _run_pdhg_experiment(config):
     # to it drops the null-space part of u0 - u*, leaving du = P(u0 - u*)
     # with P = K'(KK')^-1 K the projection onto range(K').
     k_du = k @ (u0 - inst["u_star"])
-    du = k.T @ cho_solve(cho_factor(k @ k.T), k_du)
+    du = k.T @ np.linalg.solve(k @ k.T, k_du)
     dv = v0 - inst["v_star"]
     radius = math.sqrt(du @ du / tau - 2.0 * (k_du @ dv) + dv @ dv / sigma)
     check = math.sqrt(engine("plain", None, False, 1, u=u0 - du,

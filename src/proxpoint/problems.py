@@ -147,27 +147,107 @@ def basis_pursuit_instance(d1, d2, seed):
                            {"A": a, "b": a @ u_true, "u_true": u_true})
 
 
+# Pivot, optimality and zero-level tolerance inside the simplex method.
+_SIMPLEX_TOL = 1e-11
+# Relative tolerance of the optimality gates on the basis pursuit solution.
+BP_KKT_TOL = 1e-9
+
+
+def _simplex(e, c, b, basis, max_iters):
+    """Revised simplex method with Bland's rule for ``min c'x s.t. E x = b,
+    x >= 0``, started from the feasible basis ``basis`` (column indices in
+    row order, updated in place).
+
+    Bland's rule (Bland 1977) enters the lowest-indexed column with a
+    negative reduced cost and, among the rows tied in the ratio test, lets
+    the lowest-indexed basic column leave; in exact arithmetic it never
+    cycles. Returns the optimal basis. Raises ``ArithmeticError`` when the
+    LP is unbounded or ``max_iters`` pivots do not reach an optimum.
+    """
+    for _ in range(max_iters):
+        b_inv = np.linalg.inv(e[:, basis])
+        x_b = b_inv @ b
+        # Exact zeros make the degenerate ties of the ratio test exact.
+        x_b[x_b < _SIMPLEX_TOL] = 0.0
+        reduced = c - (c[basis] @ b_inv) @ e
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(reduced < -_SIMPLEX_TOL)
+        if entering.size == 0:
+            return basis
+        w = b_inv @ e[:, entering[0]]
+        rows = np.flatnonzero(w > _SIMPLEX_TOL)
+        if rows.size == 0:
+            raise ArithmeticError("linear program is unbounded")
+        ratios = x_b[rows] / w[rows]
+        ties = rows[ratios == ratios.min()]
+        basis[ties[np.argmin([basis[r] for r in ties])]] = int(entering[0])
+    raise ArithmeticError(f"simplex method did not terminate in {max_iters} pivots")
+
+
 def basis_pursuit_solution(a, b):
     """Solution ``(u*, v*)`` of ``min ||u||_1 s.t. A u = b`` and its
     multiplier, from the linear program ``min 1'(p + q) s.t. A (p - q) =
-    b, p, q >= 0`` solved by HiGHS.
+    b, p, q >= 0``.
 
     ``v*`` follows the Lagrangian ``||u||_1 + <v, A u - b>``, so ``A'v*``
     lies in ``-d||u*||_1``; ``(u*, v*)`` is then a fixed point of the
-    proximal method of multipliers. Raises ``ArithmeticError`` when the
-    solver does not report an optimum.
-    """
-    # Imported here: scipy.optimize costs a few tenths of a second to load
-    # and only this reference needs it.
-    from scipy.optimize import linprog
+    proximal method of multipliers.
 
+    A two-phase dense simplex method with Bland's rule finds an optimal
+    basis ``B`` (phase one from artificial columns ``sign(b_i) e_i``,
+    phase two from the basis phase one leaves); ``x_B = B^-1 b`` and ``v*
+    = -B^-T 1`` are then recomputed from the original data. On a
+    degenerate vertex (fewer than ``m`` nonzeros in ``u*``) the multiplier
+    is not unique: ``v*`` is the one of the basis found, a valid fixed
+    point whose distance from the start still bounds the rate.
+
+    Raises ``ArithmeticError`` when the LP is infeasible, when ``A`` does
+    not have full row rank, when the simplex method does not terminate,
+    or when the result fails one of the optimality gates (relative
+    tolerance ``BP_KKT_TOL``): ``A u* = b``, ``||A'v*||_inf <= 1``,
+    ``(A'v*)_j = -sign(u*_j)`` on the support, and zero duality gap.
+    """
     a = np.asarray(a, dtype=float)
-    d1 = a.shape[1]
-    res = linprog(np.ones(2 * d1), A_eq=np.hstack([a, -a]), b_eq=b,
-                  bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise ArithmeticError(f"basis pursuit LP not solved: {res.message}")
-    return res.x[:d1] - res.x[d1:], -res.eqlin.marginals
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    e = np.hstack([a, -a])
+    e1 = np.hstack([e, np.diag(np.where(b < 0.0, -1.0, 1.0))])
+    max_iters = 10 * (m + 2 * n)
+    # Phase one: minimize the artificials' sum from x_art = |b|.
+    basis = _simplex(e1, np.concatenate([np.zeros(2 * n), np.ones(m)]), b,
+                     list(range(2 * n, 2 * n + m)), max_iters)
+    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    artificial = np.array(basis) >= 2 * n
+    if artificial.any():
+        x_art = np.linalg.solve(e1[:, basis], b)[artificial]
+        if np.abs(x_art).sum() > BP_KKT_TOL * scale:
+            raise ArithmeticError("basis pursuit LP is infeasible")
+        # At a phase-one optimum the sum w of the artificial rows of B^-1
+        # gives column j the reduced cost -w'E_j >= 0. Columns come in
+        # pairs +-a_j, so w'a_j = 0 for every j: w'A = 0 with w != 0.
+        raise ArithmeticError("basis pursuit A does not have full row rank")
+    basis = _simplex(e, np.ones(2 * n), b, basis, max_iters)
+    b_mat = e[:, basis]
+    x = np.zeros(2 * n)
+    # A degenerate basic entry may come out a rounding-level negative.
+    x[basis] = np.maximum(np.linalg.solve(b_mat, b), 0.0)
+    u = x[:n] - x[n:]
+    v = -np.linalg.solve(b_mat.T, np.ones(m))
+    slope = a.T @ v
+    support = u != 0.0
+    l1 = float(np.abs(u).sum())
+    gates = {
+        "A u* = b": np.max(np.abs(a @ u - b), initial=0.0) <= BP_KKT_TOL * scale,
+        "|A'v*| <= 1": np.max(np.abs(slope)) <= 1.0 + BP_KKT_TOL,
+        "A'v* = -sign(u*) on the support": np.all(
+            np.abs(slope[support] + np.sign(u[support])) <= BP_KKT_TOL),
+        "zero duality gap": abs(l1 + float(b @ v)) <= BP_KKT_TOL * max(1.0, l1),
+    }
+    failed = [name for name, ok in gates.items() if not ok]
+    if failed:
+        raise ArithmeticError(
+            f"basis pursuit solution fails its optimality gates: {', '.join(failed)}")
+    return u, v
 
 
 def bilinear_game_instance(d1, d2, seed):

@@ -420,9 +420,11 @@ def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed",
     if rho <= 0:
         raise ValueError("rho must be positive")
 
+    # The resolvents validate their inputs, and the residual catches a
+    # non-finite output, so the outputs are not scanned again here.
     def step(eta):
-        j2 = as_vector(resolvent2(eta))
-        return as_vector(resolvent1(2.0 * j2 - eta)) + eta - j2
+        j2 = np.asarray(resolvent2(eta), dtype=float)
+        return np.asarray(resolvent1(2.0 * j2 - eta), dtype=float) + eta - j2
 
     return _iterate(step, nu0, iters, variant, restart_interval,
                     adaptive_restart, R)
@@ -433,10 +435,12 @@ def _admm_x_solver(f, constraint, rho, inner):
     ata = a.T @ a
 
     def spectrum():
-        m = rho * float(np.linalg.eigvalsh(ata)[0])
-        if m <= 0:
+        eigs = np.linalg.eigvalsh(ata)
+        # A rank-deficient A leaves a rounding-level smallest eigenvalue, of
+        # either sign, rather than an exact zero.
+        if eigs[0] <= ata.shape[0] * np.finfo(float).eps * eigs[-1]:
             raise ValueError("l1 x-subproblem needs A'A positive definite")
-        return m, rho * operator_norm(a) ** 2
+        return rho * float(eigs[0]), rho * operator_norm(a) ** 2
 
     solve = _subproblem(f, rho * ata, inner, np.zeros(a.shape[1]), spectrum)
     return lambda nu_hat, z: solve(

@@ -211,6 +211,17 @@ def reference_admm_z_solver(g, constraint, rho, inner):
     raise ValueError(f"unsupported g kind {g.kind!r}")
 
 
+def reference_drs_step(resolvent1, resolvent2):
+    """The Douglas-Rachford step that scans both resolvent outputs with
+    ``as_vector``: the reference for the bit-identity of ``drs``."""
+
+    def step(eta):
+        j2 = as_vector(resolvent2(eta))
+        return as_vector(resolvent1(2.0 * j2 - eta)) + eta - j2
+
+    return step
+
+
 @pytest.fixture
 def rng():
     return SplitMix64(20240817)

@@ -245,6 +245,16 @@ class TestReferenceSolutions:
         assert code == 2
         assert not out.exists()
 
+    def test_failed_basis_pursuit_reference_exits_two_without_csv(self, tmp_path,
+                                                                   monkeypatch):
+        from proxpoint import problems
+
+        # A simplex method that never pivots leaves phase one infeasible.
+        monkeypatch.setattr(problems, "_simplex", lambda e, c, b, basis, max_iters: basis)
+        code, out = run_cli(tmp_path, "--experiment", "fig3-desk", "--iters", "20")
+        assert code == 2
+        assert not out.exists()
+
     def test_perturbed_fig4_reference_leaves_bounds_empty(self, tmp_path, monkeypatch):
         def perturbed(*args):
             inst = proxpoint.bilinear_game_instance(*args)
@@ -316,6 +326,21 @@ class TestImports:
              "m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"],
             env=env, capture_output=True, text=True, timeout=120, check=True)
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("preset", ["fig3-desk", "fig4-desk"])
+    def test_fig3_and_fig4_load_no_scipy(self, preset, tmp_path):
+        # Both references are numpy only: the basis pursuit simplex and the
+        # solve with K K' for fig4's R.
+        src = str(Path(proxpoint.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from proxpoint.cli import main; "
+             "code = main(sys.argv[1:]); print(code, sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+             "--experiment", preset, "--out", str(tmp_path / "run.csv")],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "0 []"
 
 
 class TestDivergenceAndRestartFlags:

@@ -35,6 +35,30 @@ def assert_tv_kkt(h, b, gamma, x, nu, tol=1e-9):
                     atol=tol * max(1.0, gamma))
 
 
+def assert_bp_kkt(a, b, u, v, tol=1e-9):
+    """Optimality of ``u`` for ``min ||u||_1 s.t. A u = b`` with the
+    multiplier ``v``: feasibility, ``-A'v`` in ``d||u||_1`` and zero
+    duality gap."""
+    assert_allclose(a @ u, b, rtol=0, atol=1e-12)
+    slope = a.T @ v
+    assert np.max(np.abs(slope)) <= 1.0 + tol
+    support = u != 0.0
+    assert_allclose(slope[support], -np.sign(u[support]), rtol=0, atol=tol)
+    assert abs(np.abs(u).sum() + b @ v) <= tol * max(1.0, np.abs(u).sum())
+
+
+def highs_basis_pursuit(a, b):
+    """Test-only oracle: the basis pursuit LP solved by scipy's HiGHS, with
+    the multiplier in the library's sign convention."""
+    from scipy.optimize import linprog
+
+    d1 = a.shape[1]
+    res = linprog(np.ones(2 * d1), A_eq=np.hstack([a, -a]), b_eq=b,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.x[:d1] - res.x[d1:], -res.eqlin.marginals
+
+
 class TestSplitMix64:
     def test_reference_words(self):
         # Canonical splitmix64 stream for seed 0; pins the generator so
@@ -137,6 +161,79 @@ class TestBasisPursuit:
         support = u_star != 0.0
         assert support.any()
         assert_allclose(slope[support], -np.sign(u_star[support]), rtol=0, atol=1e-9)
+
+    # (100, 20) at seeds 1-20 and at the instance seeds the benchmark derives
+    # from its seeds 1 and 7919; (40, 10) at seeds 1-30, five of them (8, 14,
+    # 18, 20, 26) with a degenerate vertex.
+    @pytest.mark.parametrize("d1,d2,seeds,degenerate", [
+        (100, 20, [*range(1, 21), 2554964596, 267651378], 0),
+        (40, 10, range(1, 31), 5),
+    ])
+    def test_matches_highs(self, d1, d2, seeds, degenerate):
+        found = 0
+        for seed in seeds:
+            inst = basis_pursuit_instance(d1, d2, seed)
+            a, b = inst["A"], inst["b"]
+            u_star, v_star = basis_pursuit_solution(a, b)
+            u_ref, v_ref = highs_basis_pursuit(a, b)
+            assert np.linalg.norm(u_star - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+            assert_bp_kkt(a, b, u_star, v_star)
+            if np.count_nonzero(u_star) == d2:
+                # A nondegenerate vertex has a unique multiplier.
+                assert np.linalg.norm(v_star - v_ref) <= 1e-11 * np.linalg.norm(v_ref)
+            else:
+                # Degenerate: the multiplier is not unique, the objective is.
+                found += 1
+                assert (abs(np.abs(u_star).sum() - np.abs(u_ref).sum())
+                        <= 1e-12 * np.abs(u_ref).sum())
+        assert found == degenerate
+
+    def test_zero_data_gives_the_zero_solution(self):
+        # Every pivot is degenerate: phase one swaps the artificials out at
+        # level zero and phase two moves only the multiplier.
+        a = basis_pursuit_instance(40, 10, 1)["A"]
+        u_star, v_star = basis_pursuit_solution(a, np.zeros(10))
+        assert np.all(u_star == 0.0)
+        assert_bp_kkt(a, np.zeros(10), u_star, v_star)
+
+    def test_infeasible_lp_raises(self):
+        with pytest.raises(ArithmeticError, match="infeasible"):
+            basis_pursuit_solution(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+
+    def test_dependent_rows_raise(self):
+        a = basis_pursuit_instance(40, 10, 1)["A"][:3]
+        a = np.vstack([a, a[0] + a[1]])
+        with pytest.raises(ArithmeticError, match="full row rank"):
+            basis_pursuit_solution(a, a @ np.arange(40.0))
+
+    def test_simplex_pivot_cap_raises(self):
+        inst = basis_pursuit_instance(40, 10, 1)
+        e = np.hstack([inst["A"], -inst["A"], np.eye(10)])
+        b = np.abs(inst["b"])
+        with pytest.raises(ArithmeticError, match="did not terminate"):
+            problems._simplex(e, np.r_[np.zeros(80), np.ones(10)], b,
+                              list(range(80, 90)), max_iters=1)
+
+    def test_unbounded_lp_raises(self):
+        # min -x s.t. x - y = 0, x, y >= 0.
+        with pytest.raises(ArithmeticError, match="unbounded"):
+            problems._simplex(np.array([[1.0, -1.0]]), np.array([-1.0, 0.0]),
+                              np.zeros(1), [0], max_iters=10)
+
+    def test_non_optimal_basis_fails_the_gates(self, monkeypatch):
+        # Phase two stops where phase one left off: a feasible vertex whose
+        # multiplier violates |A'v*| <= 1.
+        simplex = problems._simplex
+        calls = []
+
+        def phase_one_only(e, c, b, basis, max_iters):
+            calls.append(None)
+            return simplex(e, c, b, basis, max_iters) if len(calls) == 1 else basis
+
+        monkeypatch.setattr(problems, "_simplex", phase_one_only)
+        inst = basis_pursuit_instance(40, 10, 1)
+        with pytest.raises(ArithmeticError, match="optimality gates"):
+            basis_pursuit_solution(inst["A"], inst["b"])
 
 
 class TestBilinearGame:

@@ -32,12 +32,13 @@ from proxpoint import (
     tv_instance,
 )
 from proxpoint import SplitMix64, splitting
-from proxpoint.methods import Momentum
+from proxpoint.methods import Momentum, _iterate
 from conftest import (
     lu_solve_factor,
     random_monotone_operator,
     reference_admm_x_solver,
     reference_admm_z_solver,
+    reference_drs_step,
     reference_prox_multipliers_u_solver,
 )
 
@@ -401,6 +402,43 @@ class TestDRS:
         scaled = trace.residuals * trace.iterations.astype(float) ** 2
         assert np.all(scaled <= radius2 * (1.0 + 1e-6))
 
+    @pytest.mark.parametrize("variant,interval,adaptive", [
+        ("plain", None, False), ("proposed", None, False), ("guler1", None, False),
+        ("guler2", None, False), ("proposed", 7, False), ("proposed", None, True)])
+    def test_matches_the_scanning_step_bit_for_bit(self, variant, interval, adaptive):
+        rng = SplitMix64(31)
+        for dim in (2, 5, 40):
+            j1 = linear_resolvent(random_monotone_operator(rng, dim), 0.8)
+            j2 = linear_resolvent(random_monotone_operator(rng, dim), 0.8)
+            nu0 = rng.normals(dim)
+            got = drs(j1, j2, 0.8, nu0, 60, variant=variant,
+                      restart_interval=interval, adaptive_restart=adaptive)
+            want = _iterate(reference_drs_step(j1, j2), nu0, 60, variant,
+                            interval, adaptive)
+            for name in ("xs", "ys", "residuals"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.restarts == want.restarts
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_non_finite_resolvent_output_names_the_iteration(self, which, bad):
+        # A non-finite output of the second resolvent becomes the first
+        # one's input, which a validating resolvent refuses with its own
+        # ValueError; both resolvents here are plain contractions.
+        calls = []
+
+        def poisoned(y):
+            calls.append(None)
+            return np.full_like(y, bad) if len(calls) == 3 else 0.5 * y
+
+        def plain(y):
+            return 0.5 * y
+
+        j1, j2 = (poisoned, plain) if which == "first" else (plain, poisoned)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite residual or iterate at iteration 3"):
+            drs(j1, j2, 0.8, np.ones(3), 10)
+
 
 def tv_setup(d1=40, seed=7, gamma=3.0):
     inst = tv_instance(d1, 5, seed)
@@ -693,6 +731,20 @@ class TestSubproblemRule:
         with pytest.raises(ValueError, match="positive definite"):
             admm(ProxDescriptor.l1(2, 1.0), ProxDescriptor.zero(3), cons, 1.0,
                  np.zeros(2), np.zeros(3), np.zeros(3), 2)
+
+    def test_l1_x_subproblem_rejects_every_rank_deficient_a(self):
+        # A 2 x 3 A has rank at most 2, yet the smallest computed eigenvalue
+        # of A'A is a rounding-level number of either sign; a 5 x 3 Gaussian
+        # A has full column rank.
+        f, inner = ProxDescriptor.l1(3, 1.0), InnerSolverConfig()
+        for seed in range(200):
+            wide = SplitMix64(seed).normal_matrix(2, 3)
+            cons = AffineConstraint(wide, -np.eye(2), np.zeros(2))
+            with pytest.raises(ValueError, match="positive definite"):
+                splitting._admm_x_solver(f, cons, 0.7, inner)
+            tall = SplitMix64(seed).normal_matrix(5, 3)
+            splitting._admm_x_solver(f, AffineConstraint(tall, -np.eye(5), np.zeros(5)),
+                                     0.7, inner)
 
     def test_unknown_kind_rejected_by_both_engines(self):
         huber = SimpleNamespace(kind="huber", dim=3)
