@@ -171,8 +171,10 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     its input (every resolvent map does) fails on a non-finite ``y_i``
     first; such a failure, or a non-finite residual, is reported as the
     non-finite extrapolated point after iteration ``i`` whenever ``y_i``
-    is not finite. A custom residual may read only part of its arguments,
-    so the engine scans ``x_{i+1}`` and each extrapolated point itself.
+    is not finite; a ``FloatingPointError`` the step raises on a finite
+    point is re-raised naming the step's iteration. A custom residual may
+    read only part of its arguments, so the engine scans ``x_{i+1}`` and
+    each extrapolated point itself.
     The point after the last iteration is never formed.
     """
     if iters < 1:
@@ -192,6 +194,8 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
                 x_new = np.asarray(step(y), dtype=float)
             except Exception as exc:
                 err = _extrapolation_error(y, g)
+                if err is None and isinstance(exc, FloatingPointError):
+                    err = FloatingPointError(f"{exc} at iteration {g}")
                 if err is None:
                     raise
                 raise err from exc

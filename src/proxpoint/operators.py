@@ -8,7 +8,10 @@ semidefinite, and mu-strongly monotone when that part dominates
 ``mu * I``.
 """
 
-import warnings
+import functools
+import importlib.util
+import os
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -168,27 +171,46 @@ def check_monotone(op, mu=0.0):
     return MonotonicityReport(lam_min >= mu - 1e-10, lam_min, mu)
 
 
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK module ``scipy/linalg/_flapack*.so``, loaded once.
+
+    Only the extension file is loaded, as ``proxpoint._flapack``: neither
+    ``scipy/__init__.py`` nor the ``scipy.linalg`` package runs (about
+    0.3 s and 28 MB per process), and no ``scipy`` module is registered.
+    """
+    scipy_spec = PathFinder.find_spec("scipy")
+    spec = scipy_spec and PathFinder.find_spec(
+        "proxpoint._flapack",
+        [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations])
+    if spec is None:
+        raise ImportError("proxpoint needs scipy: its compiled LAPACK module "
+                          "scipy.linalg._flapack was not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _factor(system):
     """Factor ``system`` once and return ``solve(rhs)`` for ``system x = rhs``.
 
-    ``solve`` calls LAPACK ``getrs`` on the bound factors directly, which
-    is what ``scipy.linalg.lu_solve`` reaches after its per-call argument
-    handling, so the results are bit-identical to it. ``rhs`` is never
+    The factors come from LAPACK ``dgetrf`` and every solve is one
+    ``dgetrs`` on them, both called directly on scipy's compiled module.
+    These are the routines ``scipy.linalg.lu_factor`` and ``lu_solve``
+    reach for a float64 system after their per-call argument handling,
+    so the results are bit-identical to them. ``rhs`` is never
     overwritten.
     """
-    # Imported here: scipy.linalg costs about a third of a second to load,
-    # and callers that never factor a matrix (the certificate) skip it.
-    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
-
-    with warnings.catch_warnings():
-        # Singularity is handled by the explicit pivot check below.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(system, check_finite=False)
+    lapack = _flapack()
+    lu, piv, info = lapack.dgetrf(system)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    # Also catches an exactly zero pivot, which getrf reports as info > 0.
     if np.min(np.abs(np.diag(lu))) < PIVOT_TOL:
         raise SingularSystemError(
             "resolvent system is singular to working precision; "
             "the operator is likely not monotone")
-    getrs, = get_lapack_funcs(("getrs",), (lu,))
+    getrs = lapack.dgetrs
 
     def solve(rhs):
         x, info = getrs(lu, piv, rhs)

@@ -421,10 +421,18 @@ def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed",
         raise ValueError("rho must be positive")
 
     # The resolvents validate their inputs, and the residual catches a
-    # non-finite output, so the outputs are not scanned again here.
+    # non-finite output, so the outputs are not scanned again here. Only
+    # when J1 refuses its input is J2's output checked: a non-finite one
+    # is a divergence, not a bad argument.
     def step(eta):
         j2 = np.asarray(resolvent2(eta), dtype=float)
-        return np.asarray(resolvent1(2.0 * j2 - eta), dtype=float) + eta - j2
+        try:
+            j1 = resolvent1(2.0 * j2 - eta)
+        except Exception as exc:
+            if np.isfinite(j2).all():
+                raise
+            raise FloatingPointError("non-finite output of resolvent2") from exc
+        return np.asarray(j1, dtype=float) + eta - j2
 
     return _iterate(step, nu0, iters, variant, restart_interval,
                     adaptive_restart, R)

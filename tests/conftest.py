@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+import proxpoint
 from proxpoint import (
     DenseLinearOperator,
     SplitMix64,
@@ -20,6 +26,16 @@ def random_monotone_operator(rng, dim, strength=1.0, mu=0.0):
     w = rng.normal_matrix(dim, dim)
     m = strength * (b @ b.T) / dim + (w - w.T) + mu * np.eye(dim)
     return DenseLinearOperator(m)
+
+
+def run_fresh(*args, **kwargs):
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    proxpoint: this suite's own process has ``scipy.linalg`` loaded."""
+    src = str(Path(proxpoint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
 
 
 def lu_solve_factor(system):

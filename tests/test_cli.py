@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import proxpoint
 from proxpoint import cli
+from conftest import run_fresh
 
 
 def run_cli(tmp_path, *args):
@@ -317,30 +313,34 @@ class TestExitCodes:
 
 class TestImports:
     def test_cli_import_loads_neither_scipy_linalg_nor_optimize(self):
-        # A fresh interpreter: this suite's conftest imports scipy.linalg.
-        src = str(Path(proxpoint.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, proxpoint.cli; print(sorted("
-             "m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"],
-            env=env, capture_output=True, text=True, timeout=120, check=True)
+        proc = run_fresh(
+            "-c", "import sys, proxpoint.cli; print(sorted("
+            "m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))",
+            check=True)
         assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("preset", ["fig3-desk", "fig4-desk"])
     def test_fig3_and_fig4_load_no_scipy(self, preset, tmp_path):
         # Both references are numpy only: the basis pursuit simplex and the
         # solve with K K' for fig4's R.
-        src = str(Path(proxpoint.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from proxpoint.cli import main; "
-             "code = main(sys.argv[1:]); print(code, sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-             "--experiment", preset, "--out", str(tmp_path / "run.csv")],
-            env=env, capture_output=True, text=True, timeout=120, check=True)
-        assert proc.stdout.strip() == "0 []"
+        assert run_preset_listing_scipy(preset, tmp_path) == "0 []"
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig5", "fig5-desk", "cert"])
+    def test_preset_loads_no_scipy(self, preset, tmp_path):
+        # The LU factors and solves come from scipy's compiled LAPACK module,
+        # loaded on its own without the scipy package.
+        assert run_preset_listing_scipy(preset, tmp_path) == "0 []"
+
+
+def run_preset_listing_scipy(preset, tmp_path):
+    """Exit code of ``main()`` for ``preset`` in a fresh interpreter,
+    followed by the ``scipy`` modules it left in ``sys.modules``."""
+    proc = run_fresh(
+        "-c", "import sys; from proxpoint.cli import main; "
+        "code = main(sys.argv[1:]); print(code, sorted("
+        "m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "--experiment", preset, "--out", str(tmp_path / "run.csv"), check=True)
+    return proc.stdout.strip()
 
 
 class TestDivergenceAndRestartFlags:
@@ -355,14 +355,9 @@ class TestDivergenceAndRestartFlags:
     def test_divergence_is_reported_once_on_stderr(self, tmp_path):
         # A fresh interpreter, so numpy's overflow warnings reach stderr as
         # they would for a user instead of pytest's warning capture.
-        src = str(Path(proxpoint.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "proxpoint.cli", "--experiment", "fig1",
-             "--method", "guler1", "--iters", "2000",
-             "--out", str(tmp_path / "run.csv")],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_fresh("-m", "proxpoint.cli", "--experiment", "fig1",
+                         "--method", "guler1", "--iters", "2000",
+                         "--out", str(tmp_path / "run.csv"))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")

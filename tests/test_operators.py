@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import lu_factor
 
 from proxpoint import (
     DenseLinearOperator,
@@ -13,11 +14,13 @@ from proxpoint import (
     preconditioned_resolvent_map,
     saddle_resolvent_map,
     strongly_monotone_toy,
+    tv_instance,
     yosida,
 )
-from proxpoint import operators
+from proxpoint import cli, operators, splitting
 from proxpoint.operators import as_vector
-from conftest import lu_solve_factor, random_monotone_operator
+from proxpoint.problems import PRESETS
+from conftest import lu_solve_factor, random_monotone_operator, run_fresh
 
 ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -225,6 +228,73 @@ class TestFactoredSolve:
             linear_resolvent(-np.eye(dim), 1.0)
         with pytest.raises(SingularSystemError):
             preconditioned_resolvent_map(-np.eye(dim), np.eye(dim), 1.0)
+
+
+def same_factors(system):
+    """Whether the bound ``dgetrf`` and ``lu_factor`` give equal ``lu`` and
+    ``piv`` arrays of equal dtypes for ``system``."""
+    lu, piv, _ = operators._flapack().dgetrf(system)
+    want_lu, want_piv = lu_factor(system, check_finite=False)
+    return all(got.dtype == want.dtype and np.array_equal(got, want)
+               for got, want in ((lu, want_lu), (piv, want_piv)))
+
+
+# Compares the bound getrf with lu_factor in a fresh interpreter, importing
+# proxpoint's LAPACK module and the scipy.linalg package in the given order.
+IMPORT_ORDER_SCRIPT = """
+import sys
+import numpy as np
+if sys.argv[1] == "proxpoint-first":
+    from proxpoint.operators import _flapack
+    getrf = _flapack().dgetrf
+    from scipy.linalg import lu_factor
+else:
+    from scipy.linalg import lu_factor
+    from proxpoint.operators import _flapack
+    getrf = _flapack().dgetrf
+from proxpoint import SplitMix64
+same = []
+for dim in (1, 2, 7, 100):
+    system = SplitMix64(dim).normal_matrix(dim, dim) + dim * np.eye(dim)
+    lu, piv, _ = getrf(system)
+    want_lu, want_piv = lu_factor(system, check_finite=False)
+    same.append(all(got.dtype == want.dtype and np.array_equal(got, want)
+                    for got, want in ((lu, want_lu), (piv, want_piv))))
+print(same)
+"""
+
+
+class TestBoundLapack:
+    # The getrf that _factor calls is the compiled routine lu_factor
+    # reaches for a float64 system, so the factors are equal bit for bit.
+    @pytest.mark.parametrize("dim", [1, 2, 7, 100])
+    def test_getrf_matches_lu_factor(self, dim):
+        system = SplitMix64(dim).normal_matrix(dim, dim) + dim * np.eye(dim)
+        assert same_factors(system)
+
+    def test_getrf_matches_lu_factor_on_fig5_x_update(self, tmp_path, monkeypatch):
+        systems = []
+
+        def recording(system):
+            systems.append(system)
+            return operators._factor(system)
+
+        monkeypatch.setattr(splitting, "_factor", recording)
+        assert cli.main(["--experiment", "fig5", "--iters", "2",
+                         "--out", str(tmp_path / "run.csv")]) == 0
+        p = PRESETS["fig5"]
+        inst = tv_instance(p["d1"], p["p"], p["seed"], p["noise_scale"])
+        h, d = inst["H"], inst["D"]
+        assert systems
+        for system in systems:
+            # The ADMM x-update system H'H + rho D'D.
+            assert_allclose(system, h.T @ h + p["rho"] * (d.T @ d), rtol=1e-14)
+            assert same_factors(system)
+
+    @pytest.mark.parametrize("order", ["proxpoint-first", "scipy-first"])
+    def test_either_import_order_gives_the_same_factors(self, order):
+        proc = run_fresh("-c", IMPORT_ORDER_SCRIPT, order, check=True)
+        assert proc.stdout.strip() == "[True, True, True, True]"
 
 
 class TestAsVector:

@@ -7,6 +7,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from proxpoint import (
     AffineConstraint,
+    DenseLinearOperator,
     InnerSolverConfig,
     InnerSolverError,
     ProxDescriptor,
@@ -438,6 +439,27 @@ class TestDRS:
         with pytest.raises(FloatingPointError,
                            match="non-finite residual or iterate at iteration 3"):
             drs(j1, j2, 0.8, np.ones(3), 10)
+
+    def test_non_finite_second_output_refused_by_the_first_is_a_divergence(self):
+        # The validating J1 refuses J2's bad output with a ValueError, a
+        # configuration-class error; drs reports the divergence instead.
+        calls = []
+
+        def j2(y):
+            calls.append(None)
+            return np.full_like(y, np.nan) if len(calls) == 3 else 0.5 * y
+
+        j1 = linear_resolvent(DenseLinearOperator(np.eye(3)), 0.8)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite output of resolvent2 at iteration 3"):
+            drs(j1, j2, 0.8, np.ones(3), 10)
+
+    def test_first_resolvent_failing_on_a_finite_point_keeps_its_error(self):
+        def j1(y):
+            raise ValueError("J1 refused")
+
+        with pytest.raises(ValueError, match="J1 refused"):
+            drs(j1, lambda y: 0.5 * y, 0.8, np.ones(3), 10)
 
 
 def tv_setup(d1=40, seed=7, gamma=3.0):
