@@ -283,18 +283,16 @@ def general_ppm(resolvent, coeffs, y0, iters):
         raise ValueError(f"iters = {iters} exceeds the coefficient horizon {coeffs.horizon}")
     y = as_vector(y0)
     xs, ys, residuals = [y], [], []
-    updates = []
+    updates = np.empty((iters, y.size))
     for i in range(iters):
         x_new = as_vector(resolvent(y))
-        diff = x_new - y
+        diff = updates[i] = x_new - y
         ys.append(y)
         xs.append(x_new)
         residuals.append(float(diff @ diff))
-        updates.append(diff)
         if i == iters - 1:
             break
-        row = coeffs.row(i + 1)
-        y = y + row @ np.asarray(updates)
+        y = y + coeffs.row(i + 1) @ updates[:i + 1]
     idx = np.arange(1, iters + 1)
     return ResidualTrace(idx, np.array(residuals), None, np.array(xs), np.array(ys))
 

@@ -7,8 +7,11 @@ collapses to an exact rank-1 outer product (hence is PSD, giving the
 ``1/N^2`` residual bound without any SDP solver).
 
 Each consecutive constraint ``A_{i-1,i}`` is nonzero only in rows and
-columns ``i-2, i-1``, and ``B_N`` only in row and column ``N-1``, so the
-slack matrix is assembled in O(N^2) from those rows alone. The result is
+columns ``i-2, i-1``, and ``B_N`` only in row and column ``N-1``. Below
+the subdiagonal the weighted sum of the ``A`` is therefore one product
+matrix ``a_{k+2} h[k] / 2``, added to row ``k+1`` and subtracted from
+row ``k``; only the O(N) diagonal and subdiagonal entries and the
+``B_N`` row are formed from the full constraint entries. The result is
 bit-identical to summing the dense constraint matrices: every entry
 receives the same nonzero terms in the same order.
 """
@@ -35,9 +38,6 @@ __all__ = [
 
 RANK1_TOL = 1e-12
 EIG_TOL = 1e-10
-# Rows of the slack matrix assembled at once; bounds the temporaries at
-# O(_BLOCK_ROWS * N) entries.
-_BLOCK_ROWS = 32
 
 
 def build_h(n):
@@ -185,46 +185,46 @@ def dual_multipliers(n):
 def _assemble_slack(table, a, b_n, c):
     """Slack matrix from the step table and the multipliers, in O(N^2).
 
-    ``A_{i-1,i}`` vanishes outside rows and columns ``i-2, i-1`` and
-    beyond column ``i-1``. So entry ``(p, q)``, ``q <= p``, of ``sum a_i
-    A_{i-1,i}`` receives exactly two terms: row ``p`` of ``A_{p,p+1}``
-    (``i = p+1``), then row ``p`` of ``A_{p+1,p+2}`` (``i = p+2``).
-    ``B_N`` then adds to row ``N-1`` and to entry ``(N, N-1)``. Every
-    constraint matrix is symmetric bit for bit, so the upper triangle is a
-    copy of the lower one. Every entry receives the same nonzero terms,
-    in the same order, as the dense sum of the constraint matrices; the
-    skipped terms are zeros. Only lower-triangle entries are computed,
-    which halves the work of the rational path, a block of rows at a time.
+    ``A_{k+1,k+2}`` (weight ``w_k = a[k+2]``, ``k = 0..N-2``) has ``d =
+    e_k - e_{k+1}`` and ``span = h[k]``, so entry ``(p, q)``, ``q <= p``,
+    of ``sum a_i A_{i-1,i}`` receives exactly two terms: row ``p`` of
+    ``A_{p,p+1}`` (``k = p-1``), then row ``p`` of ``A_{p+1,p+2}`` (``k =
+    p``). Below the subdiagonal ``d_q = 0`` and these terms are
+    ``w_{p-1} h[p-1, q] / 2`` and ``-w_p h[p, q] / 2``: one product
+    matrix, written to rows ``1..N-1`` and subtracted from rows
+    ``0..N-2``. The diagonal and subdiagonal take the full constraint
+    entries. ``B_N`` then adds to row ``N-1`` and to entry ``(N, N-1)``.
+    Every constraint matrix is symmetric bit for bit, so the upper
+    triangle is a copy of the lower one. Every entry receives the same
+    nonzero terms, in the same order, as the dense sum of the constraint
+    matrices; the skipped terms are zeros.
     """
     n = table.shape[0] + 1
-    lower = np.tri(n + 1, dtype=bool)
+    w = np.array([a[i] for i in range(2, n + 1)], dtype=table.dtype)
     s = _zeros(table, (n + 1, n + 1))
-    for start in range(0, n - 1, _BLOCK_ROWS):
-        # Row j of d and span holds the vectors defining A_{i-1,i} for
-        # i = k[j] + 2; rows k and k + 1 of s need columns 0..k+1 only.
-        k = np.arange(start, min(start + _BLOCK_ROWS, n - 1))
-        j, width = k - start, k[-1] + 2
-        d = _zeros(table, (k.size, width))
-        d[j, k] += 1
-        d[j, k + 1] -= 1
-        span = _zeros(table, (k.size, width))
-        cut = min(width, n - 1)
-        span[:, :cut] = table[k, :cut]
-        weight = np.array([a[i] for i in k + 2], dtype=table.dtype)
-        for shift in (1, 0):
-            # Row k + shift of A_{i-1,i} (row i-1, then row i-2) adds into
-            # the lower triangle of row k + shift of s.
-            cols = lower[k + shift, :width]
-            dr, sr, w = (np.repeat(v, cols.sum(axis=1))
-                         for v in (d[j, k + shift], span[j, k + shift], weight))
-            block = s[start + shift:k[-1] + 1 + shift, :width]
-            block[cols] += w * _a_entries(dr, d[cols], sr, span[cols])
+    x = table / 2
+    x *= w[:, None]
+    s[1:n, :n - 1] = x
+    s[:n - 1, :n - 1] -= x
+    # The diagonal and subdiagonal take the full entries: row p of the
+    # k = p-1 term has d_p = -1 and span_p = 0, that of the k = p term
+    # d_p = 1 and span_p = h[p, p].
+    zero = _zeros(table, n - 1)
+    one, h_diag = zero + 1, np.diagonal(table)
+    diag, sub = _zeros(table, n), _zeros(table, n - 1)
+    diag[1:] += w * _a_entries(-one, -one, zero, zero)
+    diag[:-1] += w * _a_entries(one, one, h_diag, h_diag)
+    sub += w * _a_entries(-one, one, zero, h_diag)
+    sub[:-1] += w[1:] * _a_entries(one[1:], zero[1:], h_diag[1:], np.diagonal(table, -1))
+    np.fill_diagonal(s[:n, :n], diag)
+    np.fill_diagonal(s[1:n, :n - 1], sub)
     u, e = _unit(table, n + 1, n - 1), _unit(table, n + 1, n)
-    span_n = _span(table, 0, n - 1, n + 1)
+    span_n = _zeros(table, n + 1)
+    span_n[:n - 1] = np.add.reduce(table, axis=0)
     row = b_n * _b_entries(u[n - 1], u, span_n[n - 1], span_n, e[n - 1], e)
     s[n - 1, :n] += row[:n]
     s[n, n - 1] += row[n]
-    s = np.where(lower, s, s.T)
+    s = np.where(np.tri(n + 1, dtype=bool), s, s.T)
     s[n, n] += c
     s[n - 1, n - 1] -= 1
     return s

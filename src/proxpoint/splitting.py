@@ -97,8 +97,7 @@ class ProxDescriptor:
 
     Kinds: ``l1`` (``weight * ||x||_1``), ``quadratic``
     (``||H x - b||^2 / 2``), ``linear`` (``a'x``), and ``zero``. Exposes
-    ``value`` and ``prox``; quadratic prox factorizations are cached per
-    step size.
+    ``prox``; quadratic prox factorizations are cached per step size.
     """
 
     def __init__(self, kind, dim, weight=None, h=None, b=None, a=None):
@@ -140,17 +139,6 @@ class ProxDescriptor:
     @classmethod
     def zero(cls, dim):
         return cls("zero", dim)
-
-    def value(self, x):
-        x = as_vector(x)
-        if self.kind == "l1":
-            return self.weight * float(np.sum(np.abs(x)))
-        if self.kind == "quadratic":
-            r = self.h @ x - self.b
-            return 0.5 * float(r @ r)
-        if self.kind == "linear":
-            return float(self.a @ x)
-        return 0.0
 
     def prox(self, w, t):
         """``argmin_x f(x) + ||x - w||^2 / (2 t)``."""

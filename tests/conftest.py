@@ -16,8 +16,18 @@ from proxpoint import (
     operator_norm,
     soft_threshold,
 )
+from proxpoint.methods import ResidualTrace
 from proxpoint.operators import _factor, as_vector
-from proxpoint.pep_cert import ConstraintMatrices, constraint_c, dual_multipliers
+from proxpoint.pep_cert import (
+    ConstraintMatrices,
+    _a_entries,
+    _b_entries,
+    _span,
+    _unit,
+    _zeros,
+    constraint_c,
+    dual_multipliers,
+)
 
 
 def random_monotone_operator(rng, dim, strength=1.0, mu=0.0):
@@ -108,6 +118,76 @@ def reference_certificate_slack(n):
     s += b_n * reference_constraint_b(coeffs, n, n)
     s += c * constraint_c(n)
     s[n - 1, n - 1] -= 1.0
+    return s
+
+
+# The general method before it kept its update history in one
+# preallocated array: a verbatim copy that rebuilds the history with
+# np.asarray every iteration. The library must match it bit for bit
+# (np.array_equal).
+
+def reference_general_ppm(resolvent, coeffs, y0, iters):
+    if iters < 1:
+        raise ValueError("iteration count must be at least 1")
+    if iters > coeffs.horizon:
+        raise ValueError(f"iters = {iters} exceeds the coefficient horizon {coeffs.horizon}")
+    y = as_vector(y0)
+    xs, ys, residuals = [y], [], []
+    updates = []
+    for i in range(iters):
+        x_new = as_vector(resolvent(y))
+        diff = x_new - y
+        ys.append(y)
+        xs.append(x_new)
+        residuals.append(float(diff @ diff))
+        updates.append(diff)
+        if i == iters - 1:
+            break
+        row = coeffs.row(i + 1)
+        y = y + row @ np.asarray(updates)
+    idx = np.arange(1, iters + 1)
+    return ResidualTrace(idx, np.array(residuals), None, np.array(xs), np.array(ys))
+
+
+# The slack assembly before it wrote one product matrix: a verbatim copy of
+# the block-of-rows version. The library's assembly must match it byte for
+# byte (tobytes), signs of zero included, for float tables.
+
+_REFERENCE_BLOCK_ROWS = 32
+
+
+def reference_block_assemble_slack(table, a, b_n, c):
+    n = table.shape[0] + 1
+    lower = np.tri(n + 1, dtype=bool)
+    s = _zeros(table, (n + 1, n + 1))
+    for start in range(0, n - 1, _REFERENCE_BLOCK_ROWS):
+        # Row j of d and span holds the vectors defining A_{i-1,i} for
+        # i = k[j] + 2; rows k and k + 1 of s need columns 0..k+1 only.
+        k = np.arange(start, min(start + _REFERENCE_BLOCK_ROWS, n - 1))
+        j, width = k - start, k[-1] + 2
+        d = _zeros(table, (k.size, width))
+        d[j, k] += 1
+        d[j, k + 1] -= 1
+        span = _zeros(table, (k.size, width))
+        cut = min(width, n - 1)
+        span[:, :cut] = table[k, :cut]
+        weight = np.array([a[i] for i in k + 2], dtype=table.dtype)
+        for shift in (1, 0):
+            # Row k + shift of A_{i-1,i} (row i-1, then row i-2) adds into
+            # the lower triangle of row k + shift of s.
+            cols = lower[k + shift, :width]
+            dr, sr, w = (np.repeat(v, cols.sum(axis=1))
+                         for v in (d[j, k + shift], span[j, k + shift], weight))
+            block = s[start + shift:k[-1] + 1 + shift, :width]
+            block[cols] += w * _a_entries(dr, d[cols], sr, span[cols])
+    u, e = _unit(table, n + 1, n - 1), _unit(table, n + 1, n)
+    span_n = _span(table, 0, n - 1, n + 1)
+    row = b_n * _b_entries(u[n - 1], u, span_n[n - 1], span_n, e[n - 1], e)
+    s[n - 1, :n] += row[:n]
+    s[n, n - 1] += row[n]
+    s = np.where(lower, s, s.T)
+    s[n, n] += c
+    s[n - 1, n - 1] -= 1
     return s
 
 

@@ -51,6 +51,13 @@ class TestResolvent:
         with pytest.raises(ValueError):
             linear_resolvent(ROTATION, -1.0)
 
+    @pytest.mark.parametrize("make", [DenseLinearOperator, np.asarray])
+    def test_empty_operator_refused_quietly(self, capfd, make):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            linear_resolvent(make(np.zeros((0, 0))), 1.0)
+        # LAPACK reports a bad argument on stdout, not by an exception.
+        assert capfd.readouterr() == ("", "")
+
     def test_singular_system_raises(self):
         # M = -I makes I + M singular (non-monotone input).
         with pytest.raises(SingularSystemError):

@@ -19,6 +19,7 @@ from proxpoint import (
 from proxpoint.pep_cert import _assemble_slack, dual_multipliers
 from conftest import (
     random_monotone_operator,
+    reference_block_assemble_slack,
     reference_build_h,
     reference_certificate_slack,
     reference_constraint_matrices,
@@ -155,7 +156,14 @@ class TestAgainstDenseReference:
 
     def test_certificate_slack(self):
         for n in BIT_IDENTITY_HORIZONS:
-            assert np.array_equal(certificate_slack(n), reference_certificate_slack(n)), n
+            assert certificate_slack(n).tobytes() == reference_certificate_slack(n).tobytes(), n
+
+    def test_slack_matches_block_assembly(self):
+        for n in range(2, 401):
+            a, b_n, c = dual_multipliers(n)
+            table = build_h(n).table
+            got = _assemble_slack(table, a, b_n, c)
+            assert got.tobytes() == reference_block_assemble_slack(table, a, b_n, c).tobytes(), n
 
     def test_full_constraint_family(self):
         for n in range(2, 13):
@@ -179,9 +187,9 @@ def exact_h_table(n):
     return table
 
 
-def exact_slack(n, table):
+def exact_slack(n, table, assemble=_assemble_slack):
     a = {i: Fraction(2 * (i - 1) * i, n * n) for i in range(2, n + 1)}
-    return _assemble_slack(table, a, Fraction(2, n), Fraction(1, n * n))
+    return assemble(table, a, Fraction(2, n), Fraction(1, n * n))
 
 
 def exact_rank1(n):
@@ -200,6 +208,14 @@ class TestExactCertificate:
             s = exact_slack(n, exact_h_table(n))
             assert all(type(v) is Fraction for v in s.flat), n
             assert (s == exact_rank1(n)).all(), n
+
+    def test_perturbed_table_matches_block_assembly(self):
+        for n in (3, 6, 17):
+            table = exact_h_table(n)
+            table[n - 2, :] += Fraction(1, 10 ** 9)
+            table[n - 2, n - 2] -= Fraction(3, 10 ** 9)
+            ref = exact_slack(n, table, reference_block_assemble_slack)
+            assert (exact_slack(n, table) == ref).all(), n
 
     def test_float_table_is_the_rounded_rational_table(self):
         for n in (2, 3, 17, 97):
