@@ -6,16 +6,25 @@ configuration error, 2 on a numerical failure (singular resolvent
 system, inner-solver cap, a basis pursuit reference LP that is
 infeasible, does not terminate or fails its optimality gates, an
 unsolved TV reference, or a run that diverged to a non-finite value).
-Output is byte-identical across reruns of the same configuration on one
-machine with a fixed BLAS thread count (for example
-``OPENBLAS_NUM_THREADS=1``): BLAS splits its sums by thread, so another
-thread count can move the last digits of ``R`` and the residuals.
+BLAS runs on one thread unless the user sets a count
+(``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``). BLAS splits its sums
+by thread, so another thread count can move the last digits of ``R`` and
+the residuals. Output is then byte-identical across reruns of the same
+configuration, at any core count, on one machine and BLAS build.
 """
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
+
+# Every BLAS call here is small, and a second OpenBLAS thread mostly
+# spin-waits. Both OpenBLAS builds (numpy's and scipy's) read this when
+# they load, and OPENBLAS_NUM_THREADS still takes precedence. A host
+# program that loaded numpy first keeps its own setting.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -279,7 +288,9 @@ def _run_pdhg_experiment(config):
     seed = _param(config, "seed", p["seed"])
     inst = bilinear_game_instance(p["d1"], p["d2"], seed)
     k = inst["K"]
-    norm_k = sp.operator_norm(k)
+    # ||K|| exactly, from the K K' that the solve for R reuses below.
+    kkt = k @ k.T
+    norm_k = math.sqrt(np.linalg.eigvalsh(kkt)[-1])
     tau = _param(config, "tau", p["step_fraction"] / norm_k)
     sigma = _param(config, "sigma", p["step_fraction"] / norm_k)
     f = sp.ProxDescriptor.linear(inst["a"])
@@ -296,7 +307,7 @@ def _run_pdhg_experiment(config):
     # to it drops the null-space part of u0 - u*, leaving du = P(u0 - u*)
     # with P = K'(KK')^-1 K the projection onto range(K').
     k_du = k @ (u0 - inst["u_star"])
-    du = k.T @ np.linalg.solve(k @ k.T, k_du)
+    du = k.T @ np.linalg.solve(kkt, k_du)
     dv = v0 - inst["v_star"]
     radius = math.sqrt(du @ du / tau - 2.0 * (k_du @ dv) + dv @ dv / sigma)
     check = math.sqrt(engine("plain", None, False, 1, u=u0 - du,

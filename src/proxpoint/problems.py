@@ -2,8 +2,7 @@
 
 Instances regenerate bit-identically from ``(parameters, seed)``: the
 generator is a splitmix-style 64-bit PRNG with Box-Muller normals, so the
-same data can be reproduced outside Python. Instances round-trip through
-a plain-text entry format for cross-implementation comparison.
+same data can be reproduced outside Python.
 """
 
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ __all__ = [
     "bilinear_game_instance",
     "tv_instance",
     "tv_solution",
-    "save_instance",
-    "load_instance",
     "PRESETS",
 ]
 
@@ -412,56 +409,6 @@ def tv_solution(h, b, gamma):
     if failed:
         raise ArithmeticError(f"TV solution fails its KKT gates: {', '.join(failed)}")
     return x, nu
-
-
-def save_instance(instance, path):
-    """Write an instance as plain text: one header line (kind, parameters,
-    seed) followed by ``name,row,col,value`` entry rows."""
-    lines = []
-    header = [instance.kind, f"seed={instance.seed}"]
-    header += [f"{k}={v!r}" for k, v in sorted(instance.params.items())]
-    lines.append(",".join(header))
-    for name in sorted(instance.data):
-        arr = np.atleast_2d(np.asarray(instance.data[name], dtype=float))
-        for (i, j), value in np.ndenumerate(arr):
-            lines.append(f"{name},{i},{j},{float(value)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_scalar(text):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def load_instance(path):
-    """Inverse of :func:`save_instance` (vectors come back 1-D)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        kind = header[0]
-        seed = None
-        params = {}
-        for item in header[1:]:
-            key, _, value = item.partition("=")
-            if key == "seed":
-                seed = None if value == "None" else int(value)
-            else:
-                params[key] = _parse_scalar(value)
-        cells = {}
-        for line in fh:
-            name, i, j, value = line.strip().split(",")
-            cells.setdefault(name, {})[(int(i), int(j))] = float(value)
-    data = {}
-    for name, entries in cells.items():
-        rows = 1 + max(i for i, _ in entries)
-        cols = 1 + max(j for _, j in entries)
-        arr = np.zeros((rows, cols))
-        for (i, j), value in entries.items():
-            arr[i, j] = value
-        data[name] = arr[0] if rows == 1 else arr
-    return ProblemInstance(kind, seed, params, data)
 
 
 # Named experiment setups: full-scale figure presets plus desk-scale

@@ -38,13 +38,17 @@ def random_monotone_operator(rng, dim, strength=1.0, mu=0.0):
     return DenseLinearOperator(m)
 
 
-def run_fresh(*args, **kwargs):
+def run_fresh(*args, env=None, **kwargs):
     """``python *args`` in a fresh interpreter that imports this checkout's
-    proxpoint: this suite's own process has ``scipy.linalg`` loaded."""
+    proxpoint: this suite's own process has numpy and ``scipy.linalg``
+    loaded. The child sees no BLAS thread variable unless ``env`` sets one,
+    so it runs under the CLI's own thread default."""
     src = str(Path(proxpoint.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    child = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child.update(env or {})
+    return subprocess.run([sys.executable, *args], env=child, capture_output=True,
                           text=True, timeout=120, **kwargs)
 
 

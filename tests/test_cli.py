@@ -1,9 +1,13 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
 import proxpoint
 from proxpoint import cli
 from conftest import run_fresh
+from proxpoint.problems import PRESETS
 
 
 def run_cli(tmp_path, *args):
@@ -158,10 +162,15 @@ class TestFigureRuns:
         assert second.read_bytes() == data
 
 
-def header_fields(path):
-    """``key=value`` tokens of the ``# R=...`` header line."""
-    line = next(ln for ln in path.read_text().splitlines() if ln.startswith("# R="))
+def header_fields(path, prefix="# R="):
+    """``key=value`` tokens of the header line starting with ``prefix``."""
+    line = next(ln for ln in path.read_text().splitlines() if ln.startswith(prefix))
     return dict(tok.split("=", 1) for tok in line[2:].split() if "=" in tok), line
+
+
+def exact_norm(k):
+    """``||K||`` as the fig4 runner takes it: ``sqrt(eigvalsh(K K')[-1])``."""
+    return math.sqrt(np.linalg.eigvalsh(k @ k.T)[-1])
 
 
 class TestReferenceSolutions:
@@ -192,7 +201,7 @@ class TestReferenceSolutions:
         radius = float(header_fields(out)[0]["R"])
         inst = proxpoint.bilinear_game_instance(50, 25, 1)
         k = inst["K"]
-        tau = sigma = 0.99 / proxpoint.operator_norm(k)
+        tau = sigma = 0.99 / exact_norm(k)
         f = proxpoint.ProxDescriptor.linear(inst["a"])
         g = proxpoint.ProxDescriptor.linear(inst["b"])
         u0, v0 = np.full(50, 10.0), np.full(25, 10.0)
@@ -330,6 +339,96 @@ class TestImports:
         # The LU factors and solves come from scipy's compiled LAPACK module,
         # loaded on its own without the scipy package.
         assert run_preset_listing_scipy(preset, tmp_path) == "0 []"
+
+
+class TestFig4Norm:
+    def test_norm_k_header_is_exact(self, tmp_path):
+        code, out = run_cli(tmp_path, "--experiment", "fig4-desk", "--iters", "1",
+                            "--method", "ppm")
+        assert code == 0
+        fields, _ = header_fields(out, "# problem=")
+        k = proxpoint.bilinear_game_instance(50, 25, 1)["K"]
+        assert float(fields["norm_K"]) == exact_norm(k)
+        assert float(fields["tau"]) == 0.99 / exact_norm(k)
+
+    @pytest.mark.parametrize("preset", ["fig4-desk", "fig4"])
+    def test_power_iteration_agrees_with_exact_norm(self, preset):
+        p = PRESETS[preset]
+        k = proxpoint.bilinear_game_instance(p["d1"], p["d2"], p["seed"])["K"]
+        assert proxpoint.operator_norm(k) == pytest.approx(exact_norm(k), rel=1e-8)
+
+
+# Prints each loaded OpenBLAS's own thread count after running a preset
+# that loads both numpy's OpenBLAS and the one behind scipy's LAPACK module.
+_BLAS_THREADS_SCRIPT = """
+import ctypes, sys
+from proxpoint.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/maps") as fh:
+    paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+counts = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, sym, None)
+        if fn is not None:
+            counts.append(fn())
+            break
+print(*counts)
+"""
+
+
+class TestBlasThreads:
+    def test_package_import_loads_no_numpy_and_keeps_environment(self):
+        proc = run_fresh(
+            "-c", "import os, sys; before = dict(os.environ); import proxpoint; "
+            "print('numpy' in sys.modules, dict(os.environ) == before)", check=True)
+        assert proc.stdout.split() == ["False", "True"]
+
+    def test_package_exports_resolve_lazily(self):
+        proc = run_fresh(
+            "-c", "import proxpoint\nfrom proxpoint import *\n"
+            "print(all(globals()[n] is getattr(proxpoint, n) for n in proxpoint.__all__))\n"
+            "print(*sorted(n for n in dir(proxpoint)\n"
+            "              if not n.startswith('_') and n not in proxpoint.__all__))",
+            check=True)
+        assert proc.stdout.splitlines() == [
+            "True", "methods operators pep_cert problems splitting"]
+        with pytest.raises(AttributeError):
+            getattr(proxpoint, "save_instance")
+
+    @pytest.mark.parametrize("env,threads", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, "2")])
+    def test_cli_import_pins_one_thread_unless_the_user_set_a_count(self, env, threads):
+        proc = run_fresh("-c", "import os, proxpoint.cli; "
+                               "print(os.environ.get('OMP_NUM_THREADS'))", env=env, check=True)
+        assert proc.stdout.strip() == threads
+
+    def test_numpy_loaded_first_leaves_environment_alone(self):
+        proc = run_fresh(
+            "-c", "import os, numpy; before = dict(os.environ); import proxpoint.cli; "
+            "print(dict(os.environ) == before, os.environ.get('OMP_NUM_THREADS'))",
+            check=True)
+        assert proc.stdout.split() == ["True", "None"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="reads the loaded libraries from /proc/self/maps")
+    def test_both_openblas_builds_run_one_thread(self, tmp_path):
+        proc = run_fresh("-c", _BLAS_THREADS_SCRIPT, "--experiment", "fig5-desk",
+                         "--iters", "2", "--out", str(tmp_path / "run.csv"), check=True)
+        counts = proc.stdout.split()
+        assert counts and all(c == "1" for c in counts)
+
+    def test_cert_csv_matches_a_pinned_run(self, tmp_path):
+        # On two cores, OpenBLAS's own default of two threads moves the last
+        # digits of min_eig from N = 144 on; the CLI's default must not.
+        outs = []
+        for name, env in (("default", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / f"{name}.csv"
+            run_fresh("-m", "proxpoint.cli", "--experiment", "cert", "--nmax", "240",
+                      "--out", str(out), env=env, check=True)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 def run_preset_listing_scipy(preset, tmp_path):

@@ -10,16 +10,14 @@ from proxpoint import (
     check_monotone,
     difference_matrix,
     linear_resolvent,
-    load_instance,
     rotation_worst_case,
-    save_instance,
     strongly_monotone_toy,
     toy_saddle,
     tv_instance,
     tv_solution,
 )
 from proxpoint import problems
-from proxpoint.problems import PRESETS, ProblemInstance
+from proxpoint.problems import PRESETS
 
 
 def assert_tv_kkt(h, b, gamma, x, nu, tol=1e-9):
@@ -310,29 +308,3 @@ class TestTV:
         e = np.array([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ArithmeticError, match="did not terminate"):
             problems._nnls(e, np.array([1.0, 1.0]), max_iters=1)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("make", [
-        # Seedless instances: the seed=None round trip.
-        lambda: ProblemInstance("rotation", None, {"n": 100, "lam": 1.0},
-                                {"M": rotation_worst_case(100, 1.0).entries}),
-        lambda: ProblemInstance("strongly_monotone_toy", None,
-                                {"n": 100, "lam": 1.0, "mu": 0.02},
-                                {"M": strongly_monotone_toy(100, 1.0, 0.02).entries}),
-        lambda: basis_pursuit_instance(20, 5, 4),
-        lambda: bilinear_game_instance(8, 3, 4),
-        lambda: tv_instance(12, 3, 4),
-    ])
-    def test_round_trip(self, make, tmp_path):
-        inst = make()
-        path = tmp_path / "instance.csv"
-        save_instance(inst, path)
-        loaded = load_instance(path)
-        assert loaded.kind == inst.kind
-        assert loaded.seed == inst.seed
-        assert loaded.params == inst.params
-        assert set(loaded.data) == set(inst.data)
-        for name, arr in inst.data.items():
-            assert np.array_equal(np.asarray(loaded.data[name], dtype=float),
-                                  np.asarray(arr, dtype=float))
