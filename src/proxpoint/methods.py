@@ -160,10 +160,13 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)`` and ``gap``,
     when given, scores each new iterate into ``gaps``. The bound column is
     filled when ``R`` is known, the variant has a rate (``plain`` or
-    ``proposed``) and no restart can fire. A non-finite residual, iterate
-    or extrapolated point raises ``FloatingPointError``; numpy's own
-    overflow and invalid-value warnings are silenced inside the loop, so
-    that error is the only report of a divergence.
+    ``proposed``) and no restart can fire. The trace is stored in arrays
+    allocated once per run, one row per iteration, so a step must return
+    a vector of the start's shape; any other shape raises ``ValueError``
+    at that iteration. A non-finite residual, iterate or extrapolated
+    point raises ``FloatingPointError``; numpy's own overflow and
+    invalid-value warnings are silenced inside the loop, so that error is
+    the only report of a divergence.
 
     Each point is scanned for non-finite entries once. With the Euclidean
     residual that scan is the residual itself: a non-finite entry of
@@ -185,7 +188,12 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     scan = residual_sq is not _euclidean_sq
     mom = Momentum(variant)
     x = y = y_prev = x0
-    xs, ys, residuals, gaps, restarts = [x0], [], [], [], []
+    xs = np.empty((iters + 1, x0.size))
+    xs[0] = x0
+    ys = np.empty((iters, x0.size))
+    residuals = np.empty(iters)
+    gaps = None if gap is None else np.empty(iters)
+    restarts = []
     since_restart = 0
     prev_res = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,15 +207,18 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
                 if err is None:
                     raise
                 raise err from exc
+            if x_new.shape != x0.shape:
+                raise ValueError(f"step returned shape {x_new.shape} at iteration "
+                                 f"{g}, expected the start's shape {x0.shape}")
             res = residual_sq(x_new, y)
             if not (math.isfinite(res) and (not scan or np.isfinite(x_new).all())):
                 raise _extrapolation_error(y, g) or FloatingPointError(
                     f"non-finite residual or iterate at iteration {g}")
-            ys.append(y)
-            xs.append(x_new)
-            residuals.append(res)
+            ys[g - 1] = y
+            xs[g] = x_new
+            residuals[g - 1] = res
             if gap is not None:
-                gaps.append(gap(x_new))
+                gaps[g - 1] = gap(x_new)
             if g == iters:
                 break
             since_restart += 1
@@ -225,17 +236,14 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
                         f"non-finite extrapolated point after iteration {g}")
                 x, y_prev, y = x_new, y, y_new
                 prev_res = res
-    idx = np.arange(1, iters + 1)
     rate = {"plain": ppm_rate_bound, "proposed": accelerated_rate_bound}.get(variant)
     bounds = None
     if (R is not None and rate is not None and not adaptive
             and (interval is None or interval >= iters)):
         # Python ints, not numpy scalars: the same floats, about 8x faster.
-        bounds = np.array([rate(R, i) for i in range(1, iters + 1)])
-    xs, ys = np.array(xs), np.array(ys)
-    return ResidualTrace(idx, np.array(residuals), bounds, xs, ys, restarts,
-                         gaps=np.array(gaps) if gap is not None else None,
-                         iterates={"x": xs, "y": ys})
+        bounds = np.fromiter((rate(R, i) for i in range(1, iters + 1)), float, iters)
+    return ResidualTrace(np.arange(1, iters + 1), residuals, bounds, xs, ys, restarts,
+                         gaps=gaps, iterates={"x": xs, "y": ys})
 
 
 def ppm_rate_bound(R, i):

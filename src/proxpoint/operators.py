@@ -10,6 +10,7 @@ semidefinite, and mu-strongly monotone when that part dominates
 
 import functools
 import importlib.util
+import math
 import os
 from importlib.machinery import PathFinder
 
@@ -60,7 +61,10 @@ def as_vector(x):
         v = np.atleast_1d(v)
         if v.ndim != 1:
             raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    # A non-finite entry makes the sum of squares inf or nan; finite entries
+    # whose squares overflow reach the entrywise scan and pass it. ``vdot``
+    # is the same BLAS dot as ``v.dot(v)`` without its overflow warning.
+    if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 

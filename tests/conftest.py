@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,14 @@ from proxpoint import (
     operator_norm,
     soft_threshold,
 )
-from proxpoint.methods import ResidualTrace
+from proxpoint.methods import (
+    Momentum,
+    ResidualTrace,
+    _euclidean_sq,
+    _extrapolation_error,
+    accelerated_rate_bound,
+    ppm_rate_bound,
+)
 from proxpoint.operators import _factor, as_vector
 from proxpoint.pep_cert import (
     ConstraintMatrices,
@@ -151,6 +159,73 @@ def reference_general_ppm(resolvent, coeffs, y0, iters):
         y = y + row @ np.asarray(updates)
     idx = np.arange(1, iters + 1)
     return ResidualTrace(idx, np.array(residuals), None, np.array(xs), np.array(ys))
+
+
+# The momentum loop before it wrote its trace into arrays allocated once
+# per run: a verbatim copy that appends every point to a list and stacks
+# the lists at the end. The library must match it byte for byte (tobytes).
+
+def reference_iterate(step, x0, iters, variant, interval=None, adaptive=False,
+                      R=None, residual_sq=_euclidean_sq, gap=None):
+    if iters < 1:
+        raise ValueError("iteration count must be at least 1")
+    if interval is not None and interval < 1:
+        raise ValueError("restart interval must be at least 1")
+    x0 = as_vector(x0)
+    scan = residual_sq is not _euclidean_sq
+    mom = Momentum(variant)
+    x = y = y_prev = x0
+    xs, ys, residuals, gaps, restarts = [x0], [], [], [], []
+    since_restart = 0
+    prev_res = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in range(1, iters + 1):
+            try:
+                x_new = np.asarray(step(y), dtype=float)
+            except Exception as exc:
+                err = _extrapolation_error(y, g)
+                if err is None and isinstance(exc, FloatingPointError):
+                    err = FloatingPointError(f"{exc} at iteration {g}")
+                if err is None:
+                    raise
+                raise err from exc
+            res = residual_sq(x_new, y)
+            if not (math.isfinite(res) and (not scan or np.isfinite(x_new).all())):
+                raise _extrapolation_error(y, g) or FloatingPointError(
+                    f"non-finite residual or iterate at iteration {g}")
+            ys.append(y)
+            xs.append(x_new)
+            residuals.append(res)
+            if gap is not None:
+                gaps.append(gap(x_new))
+            if g == iters:
+                break
+            since_restart += 1
+            if ((interval is not None and since_restart >= interval)
+                    or (adaptive and prev_res is not None and res > prev_res)):
+                mom.reset()
+                x = y = y_prev = x_new
+                restarts.append(g)
+                since_restart = 0
+                prev_res = None
+            else:
+                y_new = mom.update(x_new, x, y, y_prev)
+                if scan and y_new is not x_new and not np.isfinite(y_new).all():
+                    raise FloatingPointError(
+                        f"non-finite extrapolated point after iteration {g}")
+                x, y_prev, y = x_new, y, y_new
+                prev_res = res
+    idx = np.arange(1, iters + 1)
+    rate = {"plain": ppm_rate_bound, "proposed": accelerated_rate_bound}.get(variant)
+    bounds = None
+    if (R is not None and rate is not None and not adaptive
+            and (interval is None or interval >= iters)):
+        # Python ints, not numpy scalars: the same floats, about 8x faster.
+        bounds = np.array([rate(R, i) for i in range(1, iters + 1)])
+    xs, ys = np.array(xs), np.array(ys)
+    return ResidualTrace(idx, np.array(residuals), bounds, xs, ys, restarts,
+                         gaps=np.array(gaps) if gap is not None else None,
+                         iterates={"x": xs, "y": ys})
 
 
 # The slack assembly before it wrote one product matrix: a verbatim copy of

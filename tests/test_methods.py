@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,23 +8,30 @@ from numpy.testing import assert_allclose
 
 from proxpoint import (
     Momentum,
+    ProxDescriptor,
+    QuadraticSaddle,
     StepCoeffs,
     accelerated_ppm,
+    accelerated_saddle_ppm,
     build_h,
     forward_method,
     general_ppm,
     guler,
     linear_resolvent,
+    operator_norm,
     optimal_restart_interval,
+    pdhg,
     ppm,
     restarted,
     rotation_worst_case,
     strongly_monotone_toy,
+    toy_saddle,
     yosida,
 )
+from proxpoint import splitting
 from proxpoint.methods import (_euclidean_sq, _iterate, accelerated_rate_bound,
                                ppm_rate_bound)
-from conftest import random_monotone_operator, reference_general_ppm
+from conftest import random_monotone_operator, reference_general_ppm, reference_iterate
 
 START = np.array([1.0, 0.0])
 
@@ -342,3 +351,102 @@ class TestExtrapolationDivergence:
 
         with pytest.raises(ValueError, match="step refused"):
             accelerated_ppm(step, START, 3)
+
+
+TRACE_ARRAYS = ("iterations", "residuals", "bounds", "xs", "ys", "gaps")
+
+
+def assert_same_trace(got, want):
+    for name in TRACE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+    assert got.restarts == want.restarts
+
+
+RESTARTS = [pytest.param({}, id="none"), pytest.param({"interval": 7}, id="interval 7"),
+            pytest.param({"interval": 300}, id="interval 300"),
+            pytest.param({"adaptive": True}, id="adaptive")]
+
+
+class TestTraceArrays:
+    # Each row is written into arrays allocated once per run; every array
+    # must equal the list-based loop's byte for byte.
+    @pytest.mark.parametrize("R", [None, 1.7])
+    @pytest.mark.parametrize("restart", RESTARTS)
+    @pytest.mark.parametrize("variant", ["plain", "proposed", "guler1", "guler2"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_the_list_loop(self, rng, d, variant, restart, R):
+        resolvent = linear_resolvent(random_monotone_operator(rng, d, mu=0.05), 0.8)
+        x0 = rng.normals(d)
+        assert_same_trace(_iterate(resolvent, x0, 200, variant, R=R, **restart),
+                          reference_iterate(resolvent, x0, 200, variant, R=R, **restart))
+
+    @pytest.mark.parametrize("restart", RESTARTS)
+    @pytest.mark.parametrize("variant", ["plain", "proposed", "guler1", "guler2"])
+    def test_gaps_and_pdhg_residual_match_the_list_loop(self, monkeypatch, rng,
+                                                         variant, restart):
+        restart = {"restart_interval": restart.get("interval"),
+                   "adaptive_restart": restart.get("adaptive", False)}
+        b1, b2 = rng.normal_matrix(2, 2), rng.normal_matrix(3, 3)
+        phi = QuadraticSaddle(b1 @ b1.T / 2, rng.normal_matrix(3, 2), b2 @ b2.T / 3,
+                              a=rng.normals(2), b=rng.normals(3))
+        h, g_mat, k = rng.normal_matrix(4, 2), rng.normal_matrix(3, 3), phi.k
+        f, g = ProxDescriptor.quadratic(h, rng.normals(4)), ProxDescriptor.quadratic(g_mat)
+        tau = sigma = 0.7 / operator_norm(k)
+        u0, v0 = rng.normals(2), rng.normals(3)
+
+        def runs():
+            return [
+                accelerated_saddle_ppm(phi, 0.9, u0, v0, 150, variant, R=2.0,
+                                       saddle=phi.saddle_point(), **restart),
+                pdhg(f, g, k, tau, sigma, u0, v0, 150, variant, R=2.0, **restart),
+            ]
+
+        got = runs()
+        monkeypatch.setattr(splitting, "_iterate", reference_iterate)
+        for trace, want in zip(got, runs(), strict=True):
+            assert_same_trace(trace, want)
+
+
+class TestTraceMemory:
+    # The trace arrays are the run's only allocation that grows with the
+    # iteration count: no per-point objects, no lists copied at the end.
+    @pytest.mark.parametrize("run", [
+        lambda: accelerated_ppm(rotation_resolvent(100), START, 10_000, R=1.0),
+        lambda: accelerated_saddle_ppm(toy_saddle(100), 1.0, [1.0], [0.0], 4_000,
+                                       saddle=([0.0], [0.0])),
+    ], ids=["accelerated_ppm", "accelerated_saddle_ppm with gaps"])
+    def test_peak_is_the_trace_arrays(self, run):
+        run()  # untraced first, so one-time set-up is not counted
+        tracemalloc.start()
+        try:
+            trace = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(getattr(trace, name).nbytes for name in TRACE_ARRAYS
+                     if getattr(trace, name) is not None)
+        assert peak <= 1.25 * nbytes
+
+
+class TestStepShape:
+    @pytest.mark.parametrize("x0, bad", [(START, [1.0]), (START, [1.0, 2.0, 3.0]),
+                                         (np.array([1.0]), 0.5)],
+                             ids=["length 1 for d=2", "length 3 for d=2", "0-d for d=1"])
+    @pytest.mark.parametrize("variant", ["plain", "proposed"])
+    def test_wrong_shape_raises_naming_the_iteration(self, variant, x0, bad):
+        calls = []
+
+        def step(y):
+            calls.append(y)
+            return bad if len(calls) == 3 else 0.5 * y
+
+        message = (f"step returned shape {np.shape(bad)} at iteration 3, "
+                   f"expected the start's shape {x0.shape}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _iterate(step, x0, 10, variant)
+        assert len(calls) == 3

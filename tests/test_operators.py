@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -326,6 +328,26 @@ class TestAsVector:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             as_vector([1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_bad_entry_rejected_at_every_position(self, d, bad):
+        for pos in range(d):
+            v = np.arange(1.0, d + 1.0)
+            v[pos] = bad
+            assert not np.isfinite(v).all()
+            with pytest.raises(ValueError, match="non-finite"):
+                as_vector(v)
+
+    @pytest.mark.parametrize("v", [[1e200, -1e200], [1e308], []],
+                             ids=["squares overflow", "square overflows", "empty"])
+    def test_finite_entries_accepted_without_a_warning(self, v):
+        # The sum of squares overflows here, so the entrywise scan decides.
+        v = np.array(v, dtype=float)
+        assert np.isfinite(v).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert as_vector(v) is v
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_resolvent_rejects_non_finite_input(self, bad):
