@@ -60,7 +60,6 @@ _EXPORTS = {
         "soft_threshold",
     ),
     "problems": (
-        "ProblemInstance",
         "SplitMix64",
         "basis_pursuit_instance",
         "basis_pursuit_solution",

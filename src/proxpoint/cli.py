@@ -130,8 +130,8 @@ class RunConfig:
             raise ConfigError("--iters must be positive")
         for name in ("lam", "mu", "rho", "tau", "sigma", "gamma"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{_flag(name)} must be positive")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{_flag(name)} must be a positive finite number")
         if self.restart is not None and self.restart < 1:
             raise ConfigError("--restart must be at least 1")
         if self.restart is not None and self.adaptive_restart:
@@ -155,12 +155,8 @@ def _param(config, name, default):
     return default if value is None else value
 
 
-def _restart_label(interval):
-    return "adaptive-restart" if interval is None else f"restart@{interval}"
-
-
 def _expand_methods(config):
-    """Resolve method names into (label, variant, interval) tasks."""
+    """Resolve method names into (label, variant, interval, adaptive) tasks."""
     tasks = []
     for name in config.methods:
         if name == "restarted":
@@ -169,19 +165,21 @@ def _expand_methods(config):
                 raise ConfigError(
                     "the restarted method needs --restart or --adaptive-restart")
             for k in intervals:
-                tasks.append((_restart_label(k), "proposed", k))
+                label = "adaptive-restart" if k is None else f"restart@{k}"
+                tasks.append((label, "proposed", k, k is None))
         else:
-            tasks.append((name, _VARIANT_OF[name], None))
+            tasks.append((name, _VARIANT_OF[name], None, False))
     return tasks
 
 
-def _radius_line(radius, source, check):
+def _radius_line(engine, reference, radius, source):
     """Header line for the bound radius ``R``; returns it with the ``R`` to
     bound by, which is ``None`` when the reference point fails its check.
 
-    ``check`` is the root of the engine's own residual after one plain step
+    The check is the root of the engine's own residual after one plain step
     from the reference point: zero, up to rounding, at a true fixed point.
     """
+    check = math.sqrt(engine(reference, 1).residuals[0])
     line = f"# R={_fmt(radius)} R_source={source} fixed_point_check={_fmt(check)}"
     if check <= FIXED_POINT_TOL * max(1.0, radius):
         return line, radius
@@ -203,30 +201,22 @@ def _trace_rows(experiment, label, trace):
     return rows
 
 
+# Each runner returns (meta, engine, start, R): the header lines, the method
+# as engine(start, iters, variant, interval, adaptive, R), its start blocks
+# as a tuple, and the R to bound by (None when the reference check fails).
+
 def _run_operator_experiment(config):
     """fig1: worst-case rotation; methods act through a shared resolvent."""
     n = config.preset["n"]
     lam = _param(config, "lam", config.preset["lam"])
-    op = rotation_worst_case(n, lam)
-    resolvent = linear_resolvent(op, lam)
-    x0 = np.array([1.0, 0.0])
-    radius = 1.0
+    resolvent = linear_resolvent(rotation_worst_case(n, lam), lam)
     meta = [f"# problem=rotation n={n} lam={_fmt(lam)} iters={config.iters}"
-            f" x0=[1,0] R={_fmt(radius)} R_source=exact"]
+            f" x0=[1,0] R=1 R_source=exact"]
 
-    def run(task):
-        label, variant, interval = task
-        if interval is not None or label == "adaptive-restart":
-            return mt.restarted(resolvent, x0, interval, config.iters,
-                                adaptive=interval is None, R=radius)
-        if variant == "plain":
-            return mt.ppm(resolvent, x0, config.iters, R=radius)
-        if variant == "proposed":
-            return mt.accelerated_ppm(resolvent, x0, config.iters, R=radius)
-        return mt.guler("first" if variant == "guler1" else "second",
-                        resolvent, x0, config.iters)
+    def engine(start, iters, variant, interval, adaptive, R):
+        return mt._iterate(resolvent, *start, iters, variant, interval, adaptive, R)
 
-    return meta, run
+    return meta, engine, (np.array([1.0, 0.0]),), 1.0
 
 
 def _run_saddle_experiment(config):
@@ -236,20 +226,15 @@ def _run_saddle_experiment(config):
     lam = _param(config, "lam", config.preset["lam"])
     mu = _param(config, "mu", config.preset["mu"])
     phi = toy_saddle(n, lam, mu)
-    u0, v0 = np.array([1.0]), np.array([0.0])
     saddle = (np.zeros(1), np.zeros(1))
     meta = [f"# problem=strongly_monotone_toy n={n} lam={_fmt(lam)} mu={_fmt(mu)}"
             f" iters={config.iters} x0=[1,0] R=1 R_source=exact"]
 
-    def run(task):
-        label, variant, interval = task
-        return sp.accelerated_saddle_ppm(
-            phi, lam, u0, v0, config.iters, variant=variant,
-            restart_interval=interval,
-            adaptive_restart=label == "adaptive-restart",
-            saddle=saddle, R=1.0)
+    def engine(start, iters, variant, interval, adaptive, R):
+        return sp.accelerated_saddle_ppm(phi, lam, *start, iters, variant, interval,
+                                         adaptive, saddle=saddle, R=R)
 
-    return meta, run
+    return meta, engine, (np.array([1.0]), np.array([0.0])), 1.0
 
 
 def _run_prox_mult_experiment(config):
@@ -261,25 +246,18 @@ def _run_prox_mult_experiment(config):
     f = sp.ProxDescriptor.l1(p["d1"], 1.0)
     u0, v0 = np.zeros(p["d1"]), np.zeros(p["d2"])
 
-    def engine(variant, interval, adaptive, iters, radius=None, u=u0, v=v0):
+    def engine(start, iters, variant="plain", interval=None, adaptive=False, R=None):
         return sp.accelerated_prox_multipliers(
-            f, inst["A"], inst["b"], lam, u, v, iters, variant=variant,
-            restart_interval=interval, adaptive_restart=adaptive, R=radius)
+            f, inst["A"], inst["b"], lam, *start, iters, variant=variant,
+            restart_interval=interval, adaptive_restart=adaptive, R=R)
 
     u_star, v_star = basis_pursuit_solution(inst["A"], inst["b"])
-    check = math.sqrt(engine("plain", None, False, 1, u=u_star, v=v_star).residuals[0])
     radius = float(np.linalg.norm(np.concatenate([u0 - u_star, v0 - v_star])))
-    line, radius = _radius_line(radius, "exact (KKT point of the basis pursuit LP)",
-                                check)
+    line, radius = _radius_line(engine, (u_star, v_star), radius,
+                                "exact (KKT point of the basis pursuit LP)")
     meta = [f"# problem=basis_pursuit d1={p['d1']} d2={p['d2']} seed={seed}"
             f" lam={_fmt(lam)} iters={config.iters} x0=0", line]
-
-    def run(task):
-        label, variant, interval = task
-        return engine(variant, interval, label == "adaptive-restart",
-                      config.iters, radius)
-
-    return meta, run
+    return meta, engine, (u0, v0), radius
 
 
 def _run_pdhg_experiment(config):
@@ -298,10 +276,10 @@ def _run_pdhg_experiment(config):
     u0 = np.full(p["d1"], 10.0)
     v0 = np.full(p["d2"], 10.0)
 
-    def engine(variant, interval, adaptive, iters, radius=None, u=u0, v=v0):
-        return sp.pdhg(f, g, k, tau, sigma, u, v, iters, variant=variant,
+    def engine(start, iters, variant="plain", interval=None, adaptive=False, R=None):
+        return sp.pdhg(f, g, k, tau, sigma, *start, iters, variant=variant,
                        restart_interval=interval, adaptive_restart=adaptive,
-                       R=radius, norm_k=norm_k)
+                       R=R, norm_k=norm_k)
 
     # The saddle set is (u* + null K) x {v*}. The preconditioned distance
     # to it drops the null-space part of u0 - u*, leaving du = P(u0 - u*)
@@ -310,20 +288,12 @@ def _run_pdhg_experiment(config):
     du = k.T @ np.linalg.solve(kkt, k_du)
     dv = v0 - inst["v_star"]
     radius = math.sqrt(du @ du / tau - 2.0 * (k_du @ dv) + dv @ dv / sigma)
-    check = math.sqrt(engine("plain", None, False, 1, u=u0 - du,
-                             v=inst["v_star"]).residuals[0])
-    line, radius = _radius_line(
-        radius, "exact (nearest point of the planted saddle set)", check)
+    line, radius = _radius_line(engine, (u0 - du, inst["v_star"]), radius,
+                                "exact (nearest point of the planted saddle set)")
     meta = [f"# problem=bilinear_game d1={p['d1']} d2={p['d2']} seed={seed}"
             f" tau={_fmt(tau)} sigma={_fmt(sigma)} norm_K={_fmt(norm_k)}"
             f" iters={config.iters} x0=all-tens residual=preconditioned", line]
-
-    def run(task):
-        label, variant, interval = task
-        return engine(variant, interval, label == "adaptive-restart",
-                      config.iters, radius)
-
-    return meta, run
+    return meta, engine, (u0, v0), radius
 
 
 def _run_admm_experiment(config):
@@ -339,30 +309,22 @@ def _run_admm_experiment(config):
     cons = sp.AffineConstraint(inst["D"], -np.eye(d2), np.zeros(d2))
     x0, z0, nu0 = np.zeros(p["d1"]), np.zeros(d2), np.zeros(d2)
 
-    def engine(accelerate, interval, adaptive, iters, radius=None, x=x0, z=z0, nu=nu0):
-        return sp.admm(f, g, cons, rho, x, z, nu, iters,
-                       accelerate=accelerate, restart_interval=interval,
-                       adaptive_restart=adaptive, R=radius)
+    def engine(start, iters, variant="plain", interval=None, adaptive=False, R=None):
+        return sp.admm(f, g, cons, rho, *start, iters, variant=variant,
+                       restart_interval=interval, adaptive_restart=adaptive, R=R)
 
     # R is the distance from the start to the dual Douglas-Rachford fixed
     # point nu* + rho (A x* - c) that ADMM's iterates converge to.
     x_star, nu_star = tv_solution(inst["H"], inst["b"], gamma)
-    check = math.sqrt(engine(False, None, False, 1, x=x_star, z=cons.A @ x_star,
-                             nu=nu_star).residuals[0])
     eta0 = nu0 + rho * (cons.A @ x0 - cons.c)
     eta_star = nu_star + rho * (cons.A @ x_star - cons.c)
-    line, radius = _radius_line(float(np.linalg.norm(eta0 - eta_star)),
-                                "exact (KKT point of the TV least-squares problem)", check)
+    line, radius = _radius_line(engine, (x_star, cons.A @ x_star, nu_star),
+                                float(np.linalg.norm(eta0 - eta_star)),
+                                "exact (KKT point of the TV least-squares problem)")
     meta = [f"# problem=tv_least_squares d1={p['d1']} p={p['p']} seed={seed}"
             f" gamma={_fmt(gamma)} rho={_fmt(rho)}"
             f" noise_scale={_fmt(p['noise_scale'])} iters={config.iters} x0=0", line]
-
-    def run(task):
-        label, variant, interval = task
-        return engine(variant == "proposed", interval,
-                      label == "adaptive-restart", config.iters, radius)
-
-    return meta, run
+    return meta, engine, (x0, z0, nu0), radius
 
 
 _RUNNERS = {
@@ -396,9 +358,10 @@ def run_experiment(config):
         lines = _run_cert(config)
     else:
         tasks = _expand_methods(config)
-        meta, run = _RUNNERS[config.experiment.split("-")[0]](config)
+        meta, engine, start, radius = _RUNNERS[config.experiment.split("-")[0]](config)
         labels = [t[0] for t in tasks]
-        traces = [run(t) for t in tasks]
+        traces = [engine(start, config.iters, variant, interval, adaptive, radius)
+                  for _, variant, interval, adaptive in tasks]
         lines = [f"# experiment={config.experiment} methods={'|'.join(labels)}"]
         lines += meta
         for label, trace in zip(labels, traces):
@@ -419,7 +382,7 @@ def _build_parser():
                     "report as CSV.")
     parser.add_argument("--experiment", required=True,
                         choices=sorted(PRESETS) + ["cert"])
-    parser.add_argument("--method", action="append", default=[],
+    parser.add_argument("--method", dest="methods", action="append", default=[],
                         help="method to run (repeatable): ppm, accel, guler1, "
                              "guler2, restarted")
     parser.add_argument("--iters", type=int)
@@ -450,12 +413,7 @@ def parse_config(argv):
     """Parse flags into a validated :class:`RunConfig` (raises ConfigError)."""
     parser = _build_parser()
     parser.__class__ = _Parser
-    ns = parser.parse_args(argv)
-    return RunConfig(experiment=ns.experiment, methods=ns.method,
-                     iters=ns.iters, lam=ns.lam, mu=ns.mu, rho=ns.rho,
-                     tau=ns.tau, sigma=ns.sigma, gamma=ns.gamma, seed=ns.seed,
-                     restart=ns.restart, adaptive_restart=ns.adaptive_restart,
-                     nmax=ns.nmax, out=ns.out)
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 def main(argv=None):

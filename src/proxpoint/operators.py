@@ -308,28 +308,21 @@ class QuadraticSaddle:
     def dims(self):
         return self.q_uu.shape[0], self.q_vv.shape[0]
 
-    def value(self, u, v):
-        u, v = as_vector(u), as_vector(v)
-        return float(0.5 * u @ (self.q_uu @ u) + self.a @ u + v @ (self.k @ u)
-                     - 0.5 * v @ (self.q_vv @ v) - self.b @ v)
-
-    def gap(self, u, v, u_star, v_star):
-        """Saddle gap ``phi(u, v*) - phi(u*, v)``; nonnegative at a saddle."""
-        return self.value(u, v_star) - self.value(u_star, v)
-
     def gap_scorer(self, u_star, v_star):
-        """``x -> gap(x[:d1], x[d1:], u_star, v_star)`` for stacked iterates.
+        """``x -> phi(u, v*) - phi(u*, v)``, ``(u, v) = (x[:d1], x[d1:])``:
+        the saddle gap of a stacked iterate, nonnegative at a saddle point.
 
-        The terms that depend only on ``(u*, v*)`` are computed once, and
-        every other term in the operation order of :meth:`value`, so each
-        score is bit-identical to :meth:`gap`. The iterate is not
-        validated: it must be a finite float vector of length ``d1 + d2``.
+        The terms that depend only on ``(u*, v*)`` are computed once, the
+        others in the left-to-right order of the formula for ``phi``, so
+        each score is bit-identical to evaluating ``phi`` twice and
+        subtracting. The iterate is not validated: it must be a finite
+        float vector of length ``d1 + d2``.
         """
         u_star, v_star = as_vector(u_star), as_vector(v_star)
         q_uu, q_vv, k, a, b = self.q_uu, self.q_vv, self.k, self.a, self.b
         d1 = q_uu.shape[0]
-        # value(u, v*) subtracts its last two terms one at a time, and
-        # value(u*, v) adds its first two before any iterate term.
+        # phi(u, v*) subtracts its last two terms one at a time, and
+        # phi(u*, v) adds its first two before any iterate term.
         vqv_star = 0.5 * v_star @ (q_vv @ v_star)
         bv_star = b @ v_star
         head_u_star = 0.5 * u_star @ (q_uu @ u_star) + a @ u_star

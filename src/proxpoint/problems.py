@@ -5,8 +5,6 @@ generator is a splitmix-style 64-bit PRNG with Box-Muller normals, so the
 same data can be reproduced outside Python.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import DenseLinearOperator, QuadraticSaddle
@@ -14,7 +12,6 @@ from .splitting import difference_matrix
 
 __all__ = [
     "SplitMix64",
-    "ProblemInstance",
     "rotation_worst_case",
     "strongly_monotone_toy",
     "toy_saddle",
@@ -80,20 +77,6 @@ class SplitMix64:
         return np.minimum((self.uniforms(n) * bound).astype(int), bound - 1)
 
 
-@dataclass
-class ProblemInstance:
-    """Tagged benchmark data: generated arrays plus everything needed to
-    regenerate them (kind, parameters, seed)."""
-
-    kind: str
-    seed: int | None
-    params: dict
-    data: dict
-
-    def __getitem__(self, name):
-        return self.data[name]
-
-
 def rotation_worst_case(n, lam=1.0):
     """Scaled rotation ``(1/(lam sqrt(n-1))) [[0, 1], [-1, 0]]``.
 
@@ -127,7 +110,7 @@ def toy_saddle(n, lam=1.0, mu=0.02):
 
 
 def basis_pursuit_instance(d1, d2, seed):
-    """Random feasible basis pursuit data ``(A, b, u_true)``.
+    """Random feasible basis pursuit data ``{A, b, u_true}``.
 
     ``A`` is standard normal ``d2 x d1``; ``u_true`` keeps only the
     entries at or above the 90th percentile of ``|value|`` (about one in
@@ -140,8 +123,7 @@ def basis_pursuit_instance(d1, d2, seed):
     raw = rng.normals(d1)
     threshold = np.quantile(np.abs(raw), 0.9)
     u_true = np.where(np.abs(raw) >= threshold, raw, 0.0)
-    return ProblemInstance("basis_pursuit", seed, {"d1": d1, "d2": d2},
-                           {"A": a, "b": a @ u_true, "u_true": u_true})
+    return {"A": a, "b": a @ u_true, "u_true": u_true}
 
 
 # Pivot, optimality and zero-level tolerance inside the simplex method.
@@ -251,9 +233,10 @@ def bilinear_game_instance(d1, d2, seed):
     """Bilinear game ``min_u max_v a'u + <K u, v> - b'v`` with a planted
     saddle point.
 
-    ``K`` (d2 x d1), ``u_star`` and ``v_star`` are standard normal, and
-    ``a = -K'v_star``, ``b = K u_star``, so ``(u_star + null K) x
-    {v_star}`` is the saddle set by construction.
+    Returns ``{K, a, b, u_star, v_star}``: ``K`` (d2 x d1), ``u_star``
+    and ``v_star`` are standard normal, and ``a = -K'v_star``, ``b = K
+    u_star``, so ``(u_star + null K) x {v_star}`` is the saddle set by
+    construction.
     """
     if d1 < 1 or d2 < 1:
         raise ValueError("dimensions must be positive")
@@ -261,13 +244,12 @@ def bilinear_game_instance(d1, d2, seed):
     k = rng.normal_matrix(d2, d1)
     u_star = rng.normals(d1)
     v_star = rng.normals(d2)
-    return ProblemInstance("bilinear_game", seed, {"d1": d1, "d2": d2},
-                           {"K": k, "a": -(k.T @ v_star), "b": k @ u_star,
-                            "u_star": u_star, "v_star": v_star})
+    return {"K": k, "a": -(k.T @ v_star), "b": k @ u_star,
+            "u_star": u_star, "v_star": v_star}
 
 
 def tv_instance(d1, p, seed, noise_scale=0.1):
-    """Total-variation least-squares data ``(H, b, x_true, D)``.
+    """Total-variation least-squares data ``{H, b, x_true, D}``.
 
     ``x_true`` is piecewise constant with five pieces (four distinct
     random breakpoints), so ``D x_true`` has at most four nonzeros;
@@ -292,10 +274,7 @@ def tv_instance(d1, p, seed, noise_scale=0.1):
     h = rng.normal_matrix(p, d1)
     noise = rng.normals(p)
     b = h @ x_true + noise_scale * noise
-    return ProblemInstance("tv_least_squares", seed,
-                           {"d1": d1, "p": p, "noise_scale": noise_scale},
-                           {"H": h, "b": b, "x_true": x_true,
-                            "D": difference_matrix(d1)})
+    return {"H": h, "b": b, "x_true": x_true, "D": difference_matrix(d1)}
 
 
 def _nnls(e, f, max_iters):

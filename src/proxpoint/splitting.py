@@ -3,9 +3,10 @@ the saddle-point solver, the proximal method of multipliers, PDHG,
 Douglas-Rachford, and ADMM, plus the proximal building blocks they need.
 
 Each engine is a step on a stacked point run by the shared momentum loop
-of :mod:`proxpoint.methods`, so every one supports the plain iteration,
-the accelerated update with the correction term, the two inertia-only
-variants where meaningful, and fixed-interval or adaptive restarting.
+of :mod:`proxpoint.methods`. ``variant`` selects the plain iteration,
+the accelerated update with the correction term, or (all but ADMM) one
+of the two inertia-only variants; every engine restarts at a fixed
+interval or adaptively.
 They return a :class:`~proxpoint.methods.ResidualTrace` with squared
 fixed-point residuals (preconditioned for PDHG), constraint
 infeasibility for ADMM, and saddle gaps when a saddle point is supplied.
@@ -460,9 +461,11 @@ def _admm_z_solver(g, constraint, rho, inner):
         b.T @ (eta_hat - rho * (constraint.c - constraint.A @ x)))
 
 
-def admm(f, g, constraint, rho, x0, z0, nu0, iters, accelerate=True,
+def admm(f, g, constraint, rho, x0, z0, nu0, iters, variant="proposed",
          restart_interval=None, adaptive_restart=False, R=None, inner=None):
-    """Alternating direction method of multipliers, optionally accelerated.
+    """Alternating direction method of multipliers: ``variant`` is
+    ``"plain"`` or the accelerated ``"proposed"``, and any other raises
+    ``ValueError``.
 
     ADMM is Douglas-Rachford splitting on the dual inclusion. One step
     maps the stacked point ``(nu_hat_i, x_{i+1})`` to ``(nu_hat_{i+1},
@@ -489,6 +492,8 @@ def admm(f, g, constraint, rho, x0, z0, nu0, iters, accelerate=True,
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if variant not in ("plain", "proposed"):
+        raise ValueError(f"ADMM takes variant 'plain' or 'proposed', got {variant!r}")
     inner = inner or InnerSolverConfig()
     solve_x = _admm_x_solver(f, constraint, rho, inner)
     solve_z = _admm_z_solver(g, constraint, rho, inner)
@@ -509,9 +514,8 @@ def admm(f, g, constraint, rho, x0, z0, nu0, iters, accelerate=True,
         return rho * rho * infeas[-1]
 
     start = np.concatenate([nu0, solve_x(nu0, z0)])
-    trace = _iterate(step, start, iters, "proposed" if accelerate else "plain",
-                     restart_interval, adaptive_restart, R,
-                     residual_sq=residual_sq)
+    trace = _iterate(step, start, iters, variant, restart_interval,
+                     adaptive_restart, R, residual_sq=residual_sq)
     xs, ys = trace.xs, trace.ys
     trace.infeasibility = np.array(infeas)
     trace.iterates.update(

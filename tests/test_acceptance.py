@@ -194,12 +194,12 @@ def test_criterion_09_admm_bounds_and_textbook_equality():
     g = ProxDescriptor.l1(d2, gamma)
     cons = AffineConstraint(d, -np.eye(d2), np.zeros(d2))
     x0, z0, nu0 = np.zeros(40), np.zeros(d2), np.zeros(d2)
-    oracle = admm(f, g, cons, rho, x0, z0, nu0, 10_000, accelerate=False)
+    oracle = admm(f, g, cons, rho, x0, z0, nu0, 10_000, variant="plain")
     nu_star = (oracle.iterates["nu_hat"][-1]
                + rho * (d @ oracle.iterates["x"][-1]))
     radius2 = float(np.sum((nu0 + rho * (d @ x0) - nu_star) ** 2))
-    accel = admm(f, g, cons, rho, x0, z0, nu0, 200, accelerate=True)
-    plain = admm(f, g, cons, rho, x0, z0, nu0, 200, accelerate=False)
+    accel = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="proposed")
+    plain = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="plain")
     idx = accel.iterations.astype(float)
     accel_worst = float(np.max(accel.infeasibility * rho ** 2 * idx ** 2))
     plain_worst = float(np.max(

@@ -6,7 +6,7 @@ import pytest
 
 import proxpoint
 from proxpoint import cli
-from conftest import run_fresh
+from conftest import reference_figure_csv, run_fresh
 from proxpoint.problems import PRESETS
 
 
@@ -90,11 +90,27 @@ class TestConfigValidation:
     def test_flags_the_experiment_reads_are_accepted(self, args):
         cli.parse_config(["--experiment", *args])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag,experiment", [
+        ("--lambda", "fig3-desk"), ("--mu", "fig2"), ("--rho", "fig5-desk"),
+        ("--tau", "fig4-desk"), ("--sigma", "fig4-desk"), ("--gamma", "fig5-desk")])
+    def test_non_finite_float_flag_is_config_error(self, tmp_path, capfd, flag,
+                                                   experiment, value):
+        # argparse reads a separate "-inf" as an option, so it is joined by "=".
+        args = [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+        code, out = run_cli(tmp_path, "--experiment", experiment, *args)
+        assert code == 1
+        assert not out.exists()
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {flag} must be a positive finite number"]
+
     def test_errors_name_the_flag_as_typed(self, tmp_path, capsys):
         assert run_cli(tmp_path, "--experiment", "fig1", "--lambda", "-1")[0] == 1
         assert run_cli(tmp_path, "--experiment", "fig4-desk", "--lambda", "1")[0] == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: --lambda must be positive",
+            "error: --lambda must be a positive finite number",
             "error: --lambda is not read by the fig4-desk experiment"]
 
 
@@ -162,6 +178,24 @@ class TestFigureRuns:
         assert second.read_bytes() == data
 
 
+_DRIVER_CASES = [(experiment, *methods)
+                 for experiment in ("fig1", "fig2", "fig3-desk", "fig4-desk", "fig5-desk")
+                 for methods in [(), ("--method", "guler1", "--method", "guler2"),
+                                 ("--method", "restarted", "--restart", "7"),
+                                 ("--method", "ppm", "--method", "restarted",
+                                  "--adaptive-restart")]
+                 if not (experiment == "fig5-desk" and "guler1" in methods)]
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("args", _DRIVER_CASES, ids=" ".join)
+    def test_csv_matches_the_per_figure_runners(self, tmp_path, args):
+        out = tmp_path / "run.csv"
+        config = cli.parse_config(["--experiment", *args, "--out", str(out)])
+        cli.run_experiment(config)
+        assert out.read_bytes() == reference_figure_csv(config)
+
+
 def header_fields(path, prefix="# R="):
     """``key=value`` tokens of the header line starting with ``prefix``."""
     line = next(ln for ln in path.read_text().splitlines() if ln.startswith(prefix))
@@ -224,7 +258,7 @@ class TestReferenceSolutions:
         g = proxpoint.ProxDescriptor.l1(39, 3.0)
         cons = proxpoint.AffineConstraint(d, -np.eye(39), np.zeros(39))
         oracle = proxpoint.admm(f, g, cons, rho, np.zeros(40), np.zeros(39),
-                                np.zeros(39), 10_000, accelerate=False)
+                                np.zeros(39), 10_000, variant="plain")
         eta_star = oracle.iterates["nu_hat"][-1] + rho * (d @ oracle.iterates["x"][-1])
         assert radius == pytest.approx(np.linalg.norm(eta_star), rel=1e-9)
 
@@ -263,7 +297,7 @@ class TestReferenceSolutions:
     def test_perturbed_fig4_reference_leaves_bounds_empty(self, tmp_path, monkeypatch):
         def perturbed(*args):
             inst = proxpoint.bilinear_game_instance(*args)
-            inst.data["v_star"] = inst["v_star"] + 1e-3
+            inst["v_star"] = inst["v_star"] + 1e-3
             return inst
 
         monkeypatch.setattr(cli, "bilinear_game_instance", perturbed)
@@ -310,7 +344,7 @@ class TestExitCodes:
             raise SingularSystemError("forced failure")
 
         monkeypatch.setitem(cli._RUNNERS, "fig1",
-                            lambda config: ([], broken))
+                            lambda config: ([], broken, (), None))
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2")
         assert code == 2
 

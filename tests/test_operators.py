@@ -22,7 +22,8 @@ from proxpoint import (
 from proxpoint import cli, operators, splitting
 from proxpoint.operators import as_vector
 from proxpoint.problems import PRESETS
-from conftest import lu_solve_factor, random_monotone_operator, run_fresh
+from conftest import (lu_solve_factor, random_monotone_operator, reference_saddle_gap,
+                      run_fresh)
 
 ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -143,7 +144,8 @@ class TestGapScorer:
         score = phi.gap_scorer(u_star, v_star)
         points = [rng.normals(d1 + d2) * 10.0 ** k for k in range(-3, 4)]
         assert np.array_equal([score(x) for x in points],
-                              [phi.gap(x[:d1], x[d1:], u_star, v_star) for x in points])
+                              [reference_saddle_gap(phi, x[:d1], x[d1:], u_star, v_star)
+                               for x in points])
 
 
 class TestYosida:

@@ -122,6 +122,6 @@ def test_tv_solution_is_a_kkt_and_admm_fixed_point(seed, d1, p, log_gamma, noise
     cons = AffineConstraint(d, -np.eye(d1 - 1), np.zeros(d1 - 1))
     step = admm(ProxDescriptor.quadratic(inst["H"], inst["b"]),
                 ProxDescriptor.l1(d1 - 1, gamma), cons, rho,
-                x_star, d @ x_star, nu_star, 1, accelerate=False)
+                x_star, d @ x_star, nu_star, 1, variant="plain")
     radius = float(np.linalg.norm(nu_star + rho * (d @ x_star)))
     assert math.sqrt(step.residuals[0]) <= 1e-9 * max(1.0, radius)

@@ -475,7 +475,7 @@ class TestADMM:
     def test_plain_mode_matches_textbook_admm(self):
         inst, f, g, cons, x0, z0, nu0 = tv_setup()
         rho, gamma = 0.05, 3.0
-        trace = admm(f, g, cons, rho, x0, z0, nu0, 60, accelerate=False)
+        trace = admm(f, g, cons, rho, x0, z0, nu0, 60, variant="plain")
         h, b, d = inst["H"], inst["b"], inst["D"]
         factors = lu_factor(h.T @ h + rho * (d.T @ d))
         x, z, nu = x0, z0, nu0
@@ -500,7 +500,7 @@ class TestADMM:
         # rho * (A x_{i+1} + B z_i - c) along the whole run.
         _, f, g, cons, x0, z0, nu0 = tv_setup()
         rho = 0.05
-        trace = admm(f, g, cons, rho, x0, z0, nu0, 100, accelerate=True)
+        trace = admm(f, g, cons, rho, x0, z0, nu0, 100, variant="proposed")
         xs = trace.iterates["x"]
         zs = trace.iterates["z"]
         nu_hat = trace.iterates["nu_hat"]
@@ -514,13 +514,13 @@ class TestADMM:
     def test_infeasibility_bounds_against_dual_oracle(self):
         _, f, g, cons, x0, z0, nu0 = tv_setup()
         rho = 0.05
-        oracle = admm(f, g, cons, rho, x0, z0, nu0, 10_000, accelerate=False)
+        oracle = admm(f, g, cons, rho, x0, z0, nu0, 10_000, variant="plain")
         nu_star = (oracle.iterates["nu_hat"][-1]
                    + rho * (cons.A @ oracle.iterates["x"][-1] - cons.c))
         eta0 = nu0 + rho * (cons.A @ x0 - cons.c)
         radius2 = float(np.sum((eta0 - nu_star) ** 2))
-        accel = admm(f, g, cons, rho, x0, z0, nu0, 200, accelerate=True)
-        plain = admm(f, g, cons, rho, x0, z0, nu0, 200, accelerate=False)
+        accel = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="proposed")
+        plain = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="plain")
         idx = accel.iterations.astype(float)
         assert np.all(accel.infeasibility * rho ** 2 * idx ** 2
                       <= radius2 * (1.0 + 1e-9))
@@ -538,8 +538,8 @@ class TestADMM:
         g = ProxDescriptor.l1(d2, 3.0)
         cons = AffineConstraint(inst["D"], -np.eye(d2), np.zeros(d2))
         x0, z0, nu0 = np.zeros(100), np.zeros(d2), np.zeros(d2)
-        plain = admm(f, g, cons, 0.05, x0, z0, nu0, 500, accelerate=False)
-        restarted = admm(f, g, cons, 0.05, x0, z0, nu0, 500, accelerate=True,
+        plain = admm(f, g, cons, 0.05, x0, z0, nu0, 500, variant="plain")
+        restarted = admm(f, g, cons, 0.05, x0, z0, nu0, 500, variant="proposed",
                          restart_interval=20)
         assert restarted.residuals[-1] < plain.residuals[-1]
 
@@ -557,6 +557,12 @@ class TestADMM:
         cons = AffineConstraint(np.ones((2, 3)), -np.eye(2), np.zeros(2))
         with pytest.raises(SingularSystemError):
             admm(f, g, cons, 1.0, np.zeros(3), np.zeros(2), np.zeros(2), 2)
+
+    @pytest.mark.parametrize("variant", ["guler1", "guler2", "bogus"])
+    def test_variants_other_than_plain_and_proposed_raise(self, variant):
+        _, f, g, cons, x0, z0, nu0 = tv_setup()
+        with pytest.raises(ValueError, match=repr(variant)):
+            admm(f, g, cons, 0.05, x0, z0, nu0, 2, variant=variant)
 
     def test_inner_cap_propagates(self):
         inst = basis_pursuit_instance(12, 4, 3)
@@ -577,7 +583,7 @@ class TestSharedEngine:
         # w = nu_hat + rho (A x - c); drive that map by hand with Momentum.
         inst, f, g, cons, x0, z0, nu0 = tv_setup()
         rho, gamma, iters = 0.05, 3.0, 100
-        trace = admm(f, g, cons, rho, x0, z0, nu0, iters, accelerate=True,
+        trace = admm(f, g, cons, rho, x0, z0, nu0, iters, variant="proposed",
                      **restart)
         h, b, d = inst["H"], inst["b"], inst["D"]
         factors = lu_factor(h.T @ h + rho * (d.T @ d))
@@ -711,7 +717,8 @@ class TestSubproblemRule:
         x0, z0, nu0 = rng.normals(d1), rng.normals(d2), rng.normals(d2)
 
         def run():
-            return admm(f, g, cons, 0.7, x0, z0, nu0, 30, accelerate=accelerate)
+            return admm(f, g, cons, 0.7, x0, z0, nu0, 30,
+                        variant="proposed" if accelerate else "plain")
 
         got = run()
         monkeypatch.setattr(splitting, "_admm_x_solver", reference_admm_x_solver)
