@@ -118,7 +118,7 @@ class Preconditioner:
         p = _square_matrix(entries, name="preconditioner")
         if np.max(np.abs(p - p.T)) > self.SYMMETRY_TOL:
             raise ValueError("preconditioner must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (p + p.T))[0] <= 0:
+        if _min_eigenvalue(0.5 * (p + p.T)) <= 0:
             raise ValueError("preconditioner must be positive definite")
         self.entries = p
 
@@ -171,7 +171,7 @@ def check_monotone(op, mu=0.0):
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     m = _entries(op)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+    lam_min = _min_eigenvalue(0.5 * (m + m.T))
     return MonotonicityReport(lam_min >= mu - 1e-10, lam_min, mu)
 
 
@@ -223,6 +223,22 @@ def _factor(system):
         return x
 
     return solve
+
+
+def _min_eigenvalue(matrix):
+    """Smallest eigenvalue of the symmetric ``matrix``, from its lower triangle.
+
+    One LAPACK ``dsyevr`` call with ``range="I", il=iu=1`` on scipy's
+    compiled module: it reduces ``matrix`` to tridiagonal form as
+    ``eigvalsh`` does, then bisects for the one eigenvalue instead of
+    computing all of them. Raises ``ArithmeticError`` when LAPACK reports
+    a failure or returns no eigenvalue.
+    """
+    w, _, found, _, info = _flapack().dsyevr(matrix, compute_v=0, range="I",
+                                            lower=1, il=1, iu=1)
+    if info != 0 or found < 1:
+        raise ArithmeticError(f"dsyevr failed to find the smallest eigenvalue (info={info})")
+    return float(w[0])
 
 
 def linear_resolvent(op, lam):
@@ -297,7 +313,7 @@ class QuadraticSaddle:
         for name, q in (("Quu", self.q_uu), ("Qvv", self.q_vv)):
             if np.max(np.abs(q - q.T)) > Preconditioner.SYMMETRY_TOL:
                 raise ValueError(f"{name} must be symmetric")
-            if np.linalg.eigvalsh(q)[0] < -self.PSD_TOL:
+            if _min_eigenvalue(q) < -self.PSD_TOL:
                 raise ValueError(f"{name} must be positive semidefinite")
         self.a = np.zeros(d1) if a is None else as_vector(a)
         self.b = np.zeros(d2) if b is None else as_vector(b)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import StepCoeffs, accelerated_ppm, general_ppm
+from .operators import _min_eigenvalue
 
 __all__ = [
     "CertificateReport",
@@ -40,6 +41,18 @@ RANK1_TOL = 1e-12
 EIG_TOL = 1e-10
 
 
+def _step_table(n):
+    """The float64 table of :func:`build_h`, without the validation
+    ``StepCoeffs`` gives to tables from outside the library."""
+    if n < 2:
+        raise ValueError("horizon must be at least 2")
+    idx = np.arange(1, n)
+    i, k = idx[:, None], idx[None, :]
+    table = np.tril(-2.0 * k / (i * (i + 1)), -1)
+    np.fill_diagonal(table, 2.0 * idx / (idx + 1))
+    return table
+
+
 def build_h(n):
     """Step coefficients ``h[i, k] = -2k/(i(i+1))`` off-diagonal and
     ``2i/(i+1)`` on the diagonal, for rows ``i = 1..n-1``.
@@ -47,13 +60,7 @@ def build_h(n):
     Every row sums to one, and the general method driven by this table
     coincides with the accelerated method.
     """
-    if n < 2:
-        raise ValueError("horizon must be at least 2")
-    idx = np.arange(1, n)
-    i, k = idx[:, None], idx[None, :]
-    table = np.tril(-2.0 * k / (i * (i + 1)), -1)
-    np.fill_diagonal(table, 2.0 * idx / (idx + 1))
-    return StepCoeffs(n, table)
+    return StepCoeffs(n, _step_table(n))
 
 
 # The constraint matrices are formed entry by entry from the entries of
@@ -237,7 +244,7 @@ def certificate_slack(n):
     being PSD; it factors exactly as a rank-1 outer product.
     """
     a, b_n, c = dual_multipliers(n)
-    return _assemble_slack(build_h(n).table, a, b_n, c)
+    return _assemble_slack(_step_table(n), a, b_n, c)
 
 
 @dataclass
@@ -266,16 +273,19 @@ def verify_certificate(n):
     The slack matrix must match ``r r'`` with ``r = u_N - u_{N+1}/N``
     entrywise within 1e-12 and have minimum eigenvalue above -1e-10;
     the certified dual value is ``1/N^2``. The slack is assembled in
-    O(N^2), bit-identical to the sum of the dense constraint matrices, so
-    the cost is dominated by the O(N^3) but fast ``eigvalsh`` call.
+    O(N^2), bit-identical to the sum of the dense constraint matrices.
+    ``r`` is nonzero only in its last two entries, so the deviation is
+    ``max |S|`` outside the trailing 2x2 block and ``max |S - r r'|``
+    inside it, the same float as the dense ``max |S - r r'|``. The one
+    O(N^3) step is the tridiagonal reduction of the LAPACK call that
+    computes only the smallest eigenvalue (``operators._min_eigenvalue``).
     """
     s = certificate_slack(n)
-    r = np.zeros(n + 1)
-    r[n - 1] = 1.0
-    r[n] = -1.0 / n
-    deviation = float(np.max(np.abs(s - np.outer(r, r))))
-    min_eig = float(np.linalg.eigvalsh(s)[0])
-    return CertificateReport(n, deviation, min_eig, 1.0 / (n * n))
+    r = np.array([1.0, -1.0 / n])
+    deviation = float(np.max([np.max(np.abs(s[:n - 1])),
+                              np.max(np.abs(s[n - 1:, :n - 1])),
+                              np.max(np.abs(s[n - 1:, n - 1:] - np.outer(r, r)))]))
+    return CertificateReport(n, deviation, _min_eigenvalue(s), 1.0 / (n * n))
 
 
 def equivalence_check(resolvent, n, x0):

@@ -29,7 +29,7 @@ from proxpoint.methods import (
     accelerated_rate_bound,
     ppm_rate_bound,
 )
-from proxpoint.operators import _factor, as_vector, linear_resolvent
+from proxpoint.operators import _factor, _flapack, as_vector, linear_resolvent
 from proxpoint.pep_cert import (
     ConstraintMatrices,
     _a_entries,
@@ -72,6 +72,31 @@ def lu_solve_factor(system):
     ``scipy.linalg.lu_solve``: the reference for bit-identity checks."""
     factors = lu_factor(system, check_finite=False)
     return lambda rhs: lu_solve(factors, rhs, check_finite=False)
+
+
+class FailingEigenLapack:
+    """Stand-in for scipy's LAPACK module whose ``dsyevr`` reports ``info``
+    and ``found`` eigenvalues; every other routine is the real one."""
+
+    def __init__(self, info, found):
+        self.info, self.found = info, found
+
+    def dsyevr(self, a, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros((0, 0)), self.found, np.zeros(0, dtype=np.int32), self.info
+
+    def __getattr__(self, name):
+        return getattr(_flapack(), name)
+
+
+def reference_step_table(n):
+    """Verbatim copy of the vectorized step table ``build_h`` built before
+    the certificate took its table without ``StepCoeffs`` validation."""
+    idx = np.arange(1, n)
+    i, k = idx[:, None], idx[None, :]
+    table = np.tril(-2.0 * k / (i * (i + 1)), -1)
+    np.fill_diagonal(table, 2.0 * idx / (idx + 1))
+    return StepCoeffs(n, table).table
 
 
 # Dense O(N^3) reference for the certificate: verbatim copies of the

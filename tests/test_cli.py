@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import proxpoint
-from proxpoint import cli
-from conftest import reference_figure_csv, run_fresh
+from proxpoint import cli, operators
+from conftest import FailingEigenLapack, reference_figure_csv, run_fresh
 from proxpoint.problems import PRESETS
 
 
@@ -348,6 +348,13 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2")
         assert code == 2
 
+    def test_lapack_eigenvalue_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(operators, "_flapack", lambda: FailingEigenLapack(2, 0))
+        code, out = run_cli(tmp_path, "--experiment", "cert", "--nmax", "5")
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("numerical failure: dsyevr")
+
     def test_success_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2",
                           "--method", "ppm")
@@ -367,6 +374,15 @@ class TestImports:
         # Both references are numpy only: the basis pursuit simplex and the
         # solve with K K' for fig4's R.
         assert run_preset_listing_scipy(preset, tmp_path) == "0 []"
+
+    def test_fig3_loads_no_numpy_ma(self, tmp_path):
+        # The sparsity threshold is taken without np.quantile, whose import
+        # of numpy.ma costs about 11 ms per process.
+        proc = run_fresh(
+            "-c", "import sys; from proxpoint.cli import main; "
+            "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)",
+            "--experiment", "fig3-desk", "--out", str(tmp_path / "run.csv"), check=True)
+        assert proc.stdout.split() == ["0", "False"]
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig5", "fig5-desk", "cert"])
     def test_preset_loads_no_scipy(self, preset, tmp_path):

@@ -22,8 +22,8 @@ from proxpoint import (
 from proxpoint import cli, operators, splitting
 from proxpoint.operators import as_vector
 from proxpoint.problems import PRESETS
-from conftest import (lu_solve_factor, random_monotone_operator, reference_saddle_gap,
-                      run_fresh)
+from conftest import (FailingEigenLapack, lu_solve_factor, random_monotone_operator,
+                      reference_saddle_gap, run_fresh)
 
 ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -191,6 +191,42 @@ class TestCheckMonotone:
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError):
             check_monotone(np.eye(2), mu=-0.5)
+
+
+class TestMinEigenvalue:
+    @pytest.mark.parametrize("dim", [1, 2, 7, 60])
+    def test_matches_eigvalsh(self, dim, rng):
+        for _ in range(20):
+            b = rng.normal_matrix(dim, dim)
+            m = b + b.T
+            dense = np.linalg.eigvalsh(m)
+            tol = 1e-14 * max(1.0, np.max(np.abs(dense)))
+            assert abs(operators._min_eigenvalue(m) - dense[0]) <= tol
+
+    def test_reads_the_lower_triangle_like_eigvalsh(self, rng):
+        m = rng.normal_matrix(6, 6)
+        assert operators._min_eigenvalue(m) == pytest.approx(np.linalg.eigvalsh(m)[0],
+                                                             abs=1e-13)
+        mirrored = np.tril(m) + np.tril(m, -1).T
+        assert operators._min_eigenvalue(m) == operators._min_eigenvalue(mirrored)
+
+    def test_leaves_its_input_alone(self, rng):
+        b = rng.normal_matrix(5, 5)
+        m = b + b.T
+        before = m.copy()
+        operators._min_eigenvalue(m)
+        assert np.array_equal(m, before)
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_monotone(np.eye(3)),
+        lambda: Preconditioner(np.eye(3)),
+        lambda: QuadraticSaddle(np.eye(2), np.ones((1, 2)), np.eye(1)),
+    ])
+    def test_lapack_failure_is_an_arithmetic_error(self, check, monkeypatch):
+        check()
+        monkeypatch.setattr(operators, "_flapack", lambda: FailingEigenLapack(1, 0))
+        with pytest.raises(ArithmeticError, match="dsyevr"):
+            check()
 
 
 class TestFactoredSolve:

@@ -16,13 +16,16 @@ from proxpoint import (
     rotation_worst_case,
     verify_certificate,
 )
+from proxpoint import operators
 from proxpoint.pep_cert import _assemble_slack, dual_multipliers
 from conftest import (
+    FailingEigenLapack,
     random_monotone_operator,
     reference_block_assemble_slack,
     reference_build_h,
     reference_certificate_slack,
     reference_constraint_matrices,
+    reference_step_table,
 )
 
 
@@ -175,6 +178,62 @@ class TestAgainstDenseReference:
             for key in ref.B:
                 assert np.array_equal(mats.B[key], ref.B[key]), (n, key)
             assert np.array_equal(mats.C, ref.C)
+
+
+CROSS_CHECK_HORIZONS = [*range(2, 61), 80, 100, 120, 160, 200, 240]
+
+
+def rank1_factor(n):
+    r = np.zeros(n + 1)
+    r[n - 1] = 1.0
+    r[n] = -1.0 / n
+    return r
+
+
+class TestCrossCheck:
+    """``verify_certificate`` against the dense computations it replaced:
+    every eigenvalue of the slack and ``|S - r r'|`` over the whole matrix."""
+
+    def test_min_eigenvalue_matches_eigvalsh(self):
+        for n in CROSS_CHECK_HORIZONS:
+            dense = np.linalg.eigvalsh(certificate_slack(n))[0]
+            assert abs(verify_certificate(n).min_eigenvalue - dense) <= 1e-14, n
+
+    def test_deviation_equals_the_dense_maximum(self):
+        for n in CROSS_CHECK_HORIZONS:
+            s, r = certificate_slack(n), rank1_factor(n)
+            dense = float(np.max(np.abs(s - np.outer(r, r))))
+            assert verify_certificate(n).max_rank1_deviation == dense, n
+
+    def test_slack_and_table_bytes_unchanged(self):
+        for n in CROSS_CHECK_HORIZONS:
+            assert build_h(n).table.tobytes() == reference_step_table(n).tobytes(), n
+            assert certificate_slack(n).tobytes() == reference_certificate_slack(n).tobytes(), n
+
+    @pytest.mark.parametrize("delta", [1e-6, np.nan])
+    def test_deviation_sees_every_entry(self, delta, monkeypatch):
+        # A perturbation anywhere, inside or outside the trailing 2x2 block
+        # of r r', shows in the deviation, and a NaN is not dropped.
+        n = 9
+        slack = {}
+        monkeypatch.setattr("proxpoint.pep_cert.certificate_slack", lambda _n: slack["s"])
+        monkeypatch.setattr("proxpoint.pep_cert._min_eigenvalue", lambda _s: 0.0)
+        for p, q in [(0, 0), (3, 5), (n - 1, 2), (2, n), (n - 1, n - 1), (n, n - 1), (n, n)]:
+            slack["s"] = certificate_slack(n)
+            slack["s"][p, q] += delta
+            report = verify_certificate(n)
+            if np.isnan(delta):
+                assert np.isnan(report.max_rank1_deviation) and not report.passed, (p, q)
+            else:
+                assert report.max_rank1_deviation >= delta - 1e-15, (p, q)
+
+
+class TestLapackFailure:
+    @pytest.mark.parametrize("info,found", [(1, 0), (-3, 0), (0, 0)])
+    def test_is_an_arithmetic_error(self, monkeypatch, info, found):
+        monkeypatch.setattr(operators, "_flapack", lambda: FailingEigenLapack(info, found))
+        with pytest.raises(ArithmeticError, match="dsyevr"):
+            verify_certificate(10)
 
 
 def exact_h_table(n):

@@ -146,6 +146,15 @@ class TestBasisPursuit:
         with pytest.raises(ValueError):
             basis_pursuit_instance(10, 10, 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7919])
+    def test_percentile_is_numpys_quantile(self, seed):
+        # The sparsity threshold is np.quantile(|raw|, 0.9) bit for bit, at
+        # every size from 1 up, the fig3 sizes 40 and 100 among them.
+        for d1 in range(1, 258):
+            values = np.abs(SplitMix64(seed * 1000 + d1).normals(d1))
+            ours = problems._percentile90(values)
+            assert np.float64(ours).tobytes() == np.quantile(values, 0.9).tobytes(), d1
+
     @pytest.mark.parametrize("d1,d2,seed", [(40, 10, 1), (40, 10, 2), (100, 20, 1),
                                             (100, 20, 3), (100, 20, 7919)])
     def test_lp_solution_satisfies_kkt(self, d1, d2, seed):
