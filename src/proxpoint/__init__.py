@@ -31,6 +31,7 @@ _EXPORTS = {
         "forward_method",
         "general_ppm",
         "guler",
+        "iterate",
         "optimal_restart_interval",
         "ppm",
         "restarted",

@@ -28,8 +28,8 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from . import methods as mt
 from . import splitting as sp
+from .methods import iterate
 from .operators import InnerSolverError, SingularSystemError, linear_resolvent
 from .pep_cert import verify_certificate
 from .problems import (PRESETS, basis_pursuit_instance, basis_pursuit_solution,
@@ -49,8 +49,8 @@ DEFAULT_METHODS = {
 }
 _VARIANT_OF = {"ppm": "plain", "accel": "proposed",
                "guler1": "guler1", "guler2": "guler2"}
-# The optional flags each figure reads besides --iters; the restart flags
-# are read only by the restarted method and --nmax only by cert. Any other
+# The optional flags each figure reads besides --iters; --restart is read
+# only by the restarted method and --nmax only by cert. Any other
 # flag is a configuration error rather than silently ignored.
 _FIGURE_FLAGS = {
     "fig1": ("lam",),
@@ -60,7 +60,7 @@ _FIGURE_FLAGS = {
     "fig5": ("rho", "gamma", "seed"),
 }
 _OPTIONAL_FLAGS = ("iters", "lam", "mu", "rho", "tau", "sigma", "gamma", "seed",
-                   "restart", "adaptive_restart", "nmax")
+                   "restart", "nmax")
 
 
 class ConfigError(ValueError):
@@ -86,8 +86,7 @@ class RunConfig:
     sigma: float | None = None
     gamma: float | None = None
     seed: int | None = None
-    restart: int | None = None
-    adaptive_restart: bool = False
+    restart: int | str | None = None
     nmax: int | None = None
     out: str = "experiment.csv"
     preset: dict = field(default_factory=dict)
@@ -109,14 +108,14 @@ class RunConfig:
                         "guler variants are not defined for the ADMM experiment")
             reads = {"iters", *_FIGURE_FLAGS[base]}
             if "restarted" in self.methods:
-                reads |= {"restart", "adaptive_restart"}
+                reads.add("restart")
         else:
             if self.methods:
                 raise ConfigError("the certificate report takes no --method")
             reads = {"nmax"}
         for name in _OPTIONAL_FLAGS:
             value = getattr(self, name)
-            if name not in reads and value is not None and value is not False:
+            if name not in reads and value is not None:
                 raise ConfigError(
                     f"{_flag(name)} is not read by the {self.experiment} experiment")
         if self.experiment == "cert":
@@ -132,18 +131,10 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{_flag(name)} must be a positive finite number")
-        if self.restart is not None and self.restart < 1:
-            raise ConfigError("--restart must be at least 1")
-        if self.restart is not None and self.adaptive_restart:
-            raise ConfigError("--restart and --adaptive-restart are exclusive")
-
-    def restart_intervals(self):
-        """Intervals to run for the ``restarted`` method."""
-        if self.restart is not None:
-            return (self.restart,)
-        if self.adaptive_restart:
-            return (None,)
-        return tuple(self.preset.get("restarts", ()))
+        if self.restart not in (None, "adaptive"):
+            if not (str(self.restart).isdecimal() and int(self.restart) >= 1):
+                raise ConfigError("--restart takes an integer K >= 1 or 'adaptive'")
+            self.restart = int(self.restart)
 
 
 def _fmt(value):
@@ -156,19 +147,19 @@ def _param(config, name, default):
 
 
 def _expand_methods(config):
-    """Resolve method names into (label, variant, interval, adaptive) tasks."""
+    """Resolve method names into (label, variant, restart) tasks; the
+    restarted method runs ``--restart`` or else each preset interval."""
     tasks = []
     for name in config.methods:
-        if name == "restarted":
-            intervals = config.restart_intervals()
-            if not intervals:
-                raise ConfigError(
-                    "the restarted method needs --restart or --adaptive-restart")
-            for k in intervals:
-                label = "adaptive-restart" if k is None else f"restart@{k}"
-                tasks.append((label, "proposed", k, k is None))
-        else:
-            tasks.append((name, _VARIANT_OF[name], None, False))
+        if name != "restarted":
+            tasks.append((name, _VARIANT_OF[name], None))
+            continue
+        restarts = ((config.restart,) if config.restart is not None
+                    else config.preset.get("restarts", ()))
+        if not restarts:
+            raise ConfigError("the restarted method needs --restart")
+        tasks += [("adaptive-restart" if k == "adaptive" else f"restart@{k}",
+                   "proposed", k) for k in restarts]
     return tasks
 
 
@@ -202,7 +193,7 @@ def _trace_rows(experiment, label, trace):
 
 
 # Each runner returns (meta, engine, start, R): the header lines, the method
-# as engine(start, iters, variant, interval, adaptive, R), its start blocks
+# as engine(start, iters, variant, restart, R), its start blocks
 # as a tuple, and the R to bound by (None when the reference check fails).
 
 def _run_operator_experiment(config):
@@ -213,8 +204,8 @@ def _run_operator_experiment(config):
     meta = [f"# problem=rotation n={n} lam={_fmt(lam)} iters={config.iters}"
             f" x0=[1,0] R=1 R_source=exact"]
 
-    def engine(start, iters, variant, interval, adaptive, R):
-        return mt._iterate(resolvent, *start, iters, variant, interval, adaptive, R)
+    def engine(start, iters, variant, restart, R):
+        return iterate(resolvent, *start, iters, variant, restart, R)
 
     return meta, engine, (np.array([1.0, 0.0]),), 1.0
 
@@ -230,9 +221,9 @@ def _run_saddle_experiment(config):
     meta = [f"# problem=strongly_monotone_toy n={n} lam={_fmt(lam)} mu={_fmt(mu)}"
             f" iters={config.iters} x0=[1,0] R=1 R_source=exact"]
 
-    def engine(start, iters, variant, interval, adaptive, R):
-        return sp.accelerated_saddle_ppm(phi, lam, *start, iters, variant, interval,
-                                         adaptive, saddle=saddle, R=R)
+    def engine(start, iters, variant, restart, R):
+        return sp.accelerated_saddle_ppm(phi, lam, *start, iters, variant, restart,
+                                         saddle=saddle, R=R)
 
     return meta, engine, (np.array([1.0]), np.array([0.0])), 1.0
 
@@ -246,10 +237,10 @@ def _run_prox_mult_experiment(config):
     f = sp.ProxDescriptor.l1(p["d1"], 1.0)
     u0, v0 = np.zeros(p["d1"]), np.zeros(p["d2"])
 
-    def engine(start, iters, variant="plain", interval=None, adaptive=False, R=None):
+    def engine(start, iters, variant="plain", restart=None, R=None):
         return sp.accelerated_prox_multipliers(
             f, inst["A"], inst["b"], lam, *start, iters, variant=variant,
-            restart_interval=interval, adaptive_restart=adaptive, R=R)
+            restart=restart, R=R)
 
     u_star, v_star = basis_pursuit_solution(inst["A"], inst["b"])
     radius = float(np.linalg.norm(np.concatenate([u0 - u_star, v0 - v_star])))
@@ -276,10 +267,9 @@ def _run_pdhg_experiment(config):
     u0 = np.full(p["d1"], 10.0)
     v0 = np.full(p["d2"], 10.0)
 
-    def engine(start, iters, variant="plain", interval=None, adaptive=False, R=None):
-        return sp.pdhg(f, g, k, tau, sigma, *start, iters, variant=variant,
-                       restart_interval=interval, adaptive_restart=adaptive,
-                       R=R, norm_k=norm_k)
+    def engine(start, iters, variant="plain", restart=None, R=None):
+        return sp.pdhg(f, g, k, tau, sigma, *start, iters, variant, restart, R,
+                       norm_k=norm_k)
 
     # The saddle set is (u* + null K) x {v*}. The preconditioned distance
     # to it drops the null-space part of u0 - u*, leaving du = P(u0 - u*)
@@ -309,9 +299,8 @@ def _run_admm_experiment(config):
     cons = sp.AffineConstraint(inst["D"], -np.eye(d2), np.zeros(d2))
     x0, z0, nu0 = np.zeros(p["d1"]), np.zeros(d2), np.zeros(d2)
 
-    def engine(start, iters, variant="plain", interval=None, adaptive=False, R=None):
-        return sp.admm(f, g, cons, rho, *start, iters, variant=variant,
-                       restart_interval=interval, adaptive_restart=adaptive, R=R)
+    def engine(start, iters, variant="plain", restart=None, R=None):
+        return sp.admm(f, g, cons, rho, *start, iters, variant, restart, R)
 
     # R is the distance from the start to the dual Douglas-Rachford fixed
     # point nu* + rho (A x* - c) that ADMM's iterates converge to.
@@ -360,8 +349,8 @@ def run_experiment(config):
         tasks = _expand_methods(config)
         meta, engine, start, radius = _RUNNERS[config.experiment.split("-")[0]](config)
         labels = [t[0] for t in tasks]
-        traces = [engine(start, config.iters, variant, interval, adaptive, radius)
-                  for _, variant, interval, adaptive in tasks]
+        traces = [engine(start, config.iters, variant, restart, radius)
+                  for _, variant, restart in tasks]
         lines = [f"# experiment={config.experiment} methods={'|'.join(labels)}"]
         lines += meta
         for label, trace in zip(labels, traces):
@@ -393,10 +382,9 @@ def _build_parser():
     parser.add_argument("--sigma", type=float)
     parser.add_argument("--gamma", type=float)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--restart", type=int,
-                        help="restart interval for the restarted method")
-    parser.add_argument("--adaptive-restart", action="store_true",
-                        help="restart whenever the residual increases")
+    parser.add_argument("--restart", metavar="K|adaptive",
+                        help="restart the restarted method every K iterations, "
+                             "or whenever the residual increases")
     parser.add_argument("--nmax", type=int,
                         help="largest horizon for the certificate report "
                              "(default 60)")

@@ -4,11 +4,13 @@ All engines consume a resolvent (any callable ``y -> x``) and return a
 :class:`ResidualTrace` holding the iterates, the squared fixed-point
 residuals ``||x_i - y_{i-1}||^2``, and, when the initial distance ``R``
 to a zero is known, the matching theoretical bound per iteration. Every
-engine except :func:`general_ppm` runs on one momentum loop, which the
-splitting methods share.
+engine except :func:`general_ppm` runs on the one momentum loop
+:func:`iterate`, as ``iterate(step, x0, iters, variant, restart, R)``;
+``ppm``, ``accelerated_ppm``, ``guler`` and ``restarted`` are aliases.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,7 @@ __all__ = [
     "StepCoeffs",
     "ResidualTrace",
     "Momentum",
+    "iterate",
     "ppm",
     "general_ppm",
     "accelerated_ppm",
@@ -152,21 +155,28 @@ def _extrapolation_error(y, g):
     return None
 
 
-def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
-             residual_sq=_euclidean_sq, gap=None):
-    """The one momentum loop: ``x_{i+1} = step(y_i)`` plus a momentum
-    rule, with optional fixed-interval and adaptive restarting.
+def iterate(step, x0, iters, variant="plain", restart=None, R=None,
+            residual_sq=_euclidean_sq, gap=None):
+    """The one momentum loop: ``x_{i+1} = step(y_i)`` plus a momentum rule.
 
-    ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)`` and ``gap``,
-    when given, scores each new iterate into ``gaps``. The bound column is
-    filled when ``R`` is known, the variant has a rate (``plain`` or
-    ``proposed``) and no restart can fire. The trace is stored in arrays
-    allocated once per run, one row per iteration, so a step must return
-    a vector of the start's shape; any other shape raises ``ValueError``
-    at that iteration. A non-finite residual, iterate or extrapolated
-    point raises ``FloatingPointError``; numpy's own overflow and
-    invalid-value warnings are silenced inside the loop, so that error is
-    the only report of a divergence.
+    ``step`` maps ``y -> x``, for example the resolvent ``J`` of ``lam*M``.
+    ``variant`` is ``"plain"`` (``y_i = x_i``, the proximal point method),
+    ``"proposed"`` (inertia plus the correction term) or the inertia-only
+    ``"guler1"`` and ``"guler2"``. ``restart`` is ``None``, an integer
+    interval of at least 1 (a Python or numpy integer, not a bool), or
+    ``"adaptive"``: restart whenever the residual increases; any other
+    value raises ``ValueError``. The bound column is filled when ``R``, a
+    bound on the distance from ``x0`` to a fixed point, is known, the
+    variant has a rate (``plain`` or ``proposed``) and no restart can
+    fire. ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)`` and
+    ``gap``, when given, scores each new iterate into ``gaps``.
+
+    The trace is stored in arrays allocated once per run, one row per
+    iteration, so a step must return a vector of the start's shape; any
+    other shape raises ``ValueError`` at that iteration. A non-finite
+    residual, iterate or extrapolated point raises ``FloatingPointError``;
+    numpy's own overflow and invalid-value warnings are silenced inside
+    the loop, so that error is the only report of a divergence.
 
     Each point is scanned for non-finite entries once. With the Euclidean
     residual that scan is the residual itself: a non-finite entry of
@@ -182,8 +192,17 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     """
     if iters < 1:
         raise ValueError("iteration count must be at least 1")
-    if interval is not None and interval < 1:
-        raise ValueError("restart interval must be at least 1")
+    # The restart test reads an interval, infinite when there is none, and
+    # the adaptive flag, both fixed here.
+    adaptive = isinstance(restart, str) and restart == "adaptive"
+    if restart is None or adaptive:
+        interval = math.inf
+    elif (isinstance(restart, numbers.Integral) and not isinstance(restart, bool)
+          and restart >= 1):
+        interval = restart
+    else:
+        raise ValueError("restart must be None, an integer interval >= 1 or "
+                         f"'adaptive', got {restart!r}")
     x0 = as_vector(x0)
     scan = residual_sq is not _euclidean_sq
     mom = Momentum(variant)
@@ -195,7 +214,7 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
     gaps = None if gap is None else np.empty(iters)
     restarts = []
     since_restart = 0
-    prev_res = None
+    prev_res = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for g in range(1, iters + 1):
             try:
@@ -222,13 +241,12 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
             if g == iters:
                 break
             since_restart += 1
-            if ((interval is not None and since_restart >= interval)
-                    or (adaptive and prev_res is not None and res > prev_res)):
+            if since_restart >= interval or (adaptive and res > prev_res):
                 mom.reset()
                 x = y = y_prev = x_new
                 restarts.append(g)
                 since_restart = 0
-                prev_res = None
+                prev_res = math.inf
             else:
                 y_new = mom.update(x_new, x, y, y_prev)
                 if scan and y_new is not x_new and not np.isfinite(y_new).all():
@@ -238,8 +256,7 @@ def _iterate(step, x0, iters, variant, interval=None, adaptive=False, R=None,
                 prev_res = res
     rate = {"plain": ppm_rate_bound, "proposed": accelerated_rate_bound}.get(variant)
     bounds = None
-    if (R is not None and rate is not None and not adaptive
-            and (interval is None or interval >= iters)):
+    if R is not None and rate is not None and not adaptive and interval >= iters:
         # Python ints, not numpy scalars: the same floats, about 8x faster.
         bounds = np.fromiter((rate(R, i) for i in range(1, iters + 1)), float, iters)
     return ResidualTrace(np.arange(1, iters + 1), residuals, bounds, xs, ys, restarts,
@@ -257,25 +274,9 @@ def accelerated_rate_bound(R, i):
 
 
 def ppm(resolvent, x0, iters, R=None):
-    """Proximal point method ``x_{i+1} = J(x_i)``.
-
-    Parameters
-    ----------
-    resolvent : callable
-        Resolvent ``J`` of ``lam*M``.
-    x0 : array_like
-        Starting point.
-    iters : int
-        Number of resolvent applications.
-    R : float, optional
-        Known bound on ``||x0 - x*||``; fills the bound column with the
-        exact worst-case rate when given.
-
-    Returns
-    -------
-    ResidualTrace
-    """
-    return _iterate(resolvent, x0, iters, "plain", R=R)
+    """Proximal point method ``x_{i+1} = J(x_i)``: an alias of
+    ``iterate(resolvent, x0, iters, "plain", R=R)``."""
+    return iterate(resolvent, x0, iters, "plain", R=R)
 
 
 def general_ppm(resolvent, coeffs, y0, iters):
@@ -283,66 +284,70 @@ def general_ppm(resolvent, coeffs, y0, iters):
 
     Updates ``x_{i+1} = J(y_i)`` and ``y_{i+1} = y_i + sum_k
     h[i+1, k+1] (x_{k+1} - y_k)``, keeping the whole update history
-    (O(iters * dim) memory).
+    (O(iters * dim) memory). Like :func:`iterate`, it records into arrays
+    allocated once per run.
     """
     if iters < 1:
         raise ValueError("iteration count must be at least 1")
     if iters > coeffs.horizon:
         raise ValueError(f"iters = {iters} exceeds the coefficient horizon {coeffs.horizon}")
     y = as_vector(y0)
-    xs, ys, residuals = [y], [], []
+    xs = np.empty((iters + 1, y.size))
+    xs[0] = y
+    ys = np.empty((iters, y.size))
+    residuals = np.empty(iters)
     updates = np.empty((iters, y.size))
     for i in range(iters):
-        x_new = as_vector(resolvent(y))
+        ys[i] = y
+        x_new = xs[i + 1] = as_vector(resolvent(y))
         diff = updates[i] = x_new - y
-        ys.append(y)
-        xs.append(x_new)
-        residuals.append(float(diff @ diff))
+        residuals[i] = diff @ diff
         if i == iters - 1:
             break
         y = y + coeffs.row(i + 1) @ updates[:i + 1]
-    idx = np.arange(1, iters + 1)
-    return ResidualTrace(idx, np.array(residuals), None, np.array(xs), np.array(ys))
+    return ResidualTrace(np.arange(1, iters + 1), residuals, None, xs, ys)
 
 
 def accelerated_ppm(resolvent, x0, iters, R=None):
-    """Accelerated proximal point method with the correction term.
+    """Accelerated proximal point method with the correction term: an alias
+    of ``iterate(resolvent, x0, iters, "proposed", R=R)``.
 
     Starting from ``x0 = y0 = y_{-1}``, iterates ``x_{i+1} = J(y_i)``,
     ``y_{i+1} = x_{i+1} + i/(i+2) (x_{i+1} - x_i) - i/(i+2) (x_i -
     y_{i-1})``; the residual obeys ``||x_i - y_{i-1}||^2 <= R^2 / i^2``.
     """
-    return _iterate(resolvent, x0, iters, "proposed", R=R)
+    return iterate(resolvent, x0, iters, "proposed", R=R)
 
 
 def guler(variant, resolvent, x0, iters):
-    """Inertia-only accelerated proximal point methods (two classical variants).
+    """Inertia-only accelerated proximal point methods: an alias of
+    ``iterate(resolvent, x0, iters, "guler1")`` for ``variant="first"`` and
+    of ``"guler2"`` for ``"second"``.
 
-    ``variant`` is ``"first"`` or ``"second"``. Both use the t-sequence
-    ``t_{i+1} = (1 + sqrt(1 + 4 t_i^2)) / 2`` with ``t_0 = 1``; neither
-    carries a residual guarantee for general monotone operators, and the
-    first variant can diverge on rotation-like operators.
+    Both use the t-sequence ``t_{i+1} = (1 + sqrt(1 + 4 t_i^2)) / 2`` with
+    ``t_0 = 1``; neither carries a residual guarantee for general monotone
+    operators, and the first variant can diverge on rotation-like operators.
     """
     names = {"first": "guler1", "second": "guler2"}
     if variant not in names:
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
-    return _iterate(resolvent, x0, iters, names[variant])
+    return iterate(resolvent, x0, iters, names[variant])
 
 
 def restarted(resolvent, x0, interval, iters, adaptive=False, R=None):
-    """Accelerated method restarted every ``interval`` iterations.
+    """Accelerated method restarted every ``interval`` iterations, or with
+    ``interval=None, adaptive=True`` whenever the residual increases: an
+    alias of ``iterate(resolvent, x0, iters, "proposed", restart, R)`` with
+    ``restart`` the interval or ``"adaptive"``. Exactly one of the two is
+    required.
 
     Each restart re-initializes ``x = y = y_prev`` at the last iterate, so
     ``interval = 1`` reduces to the proximal point method and
     ``interval >= iters`` reproduces the un-restarted accelerated run.
-    With ``adaptive=True`` a restart is also triggered whenever the
-    residual increases between consecutive iterations of an inner run.
-    ``interval=None`` is allowed when ``adaptive`` is set.
     """
-    if interval is None and not adaptive:
-        raise ValueError("a restart interval is required unless adaptive=True")
-    return _iterate(resolvent, x0, iters, "proposed", interval=interval,
-                    adaptive=adaptive, R=R)
+    if (interval is None) is not bool(adaptive):
+        raise ValueError("restarted takes exactly one of an interval and adaptive=True")
+    return iterate(resolvent, x0, iters, "proposed", "adaptive" if adaptive else interval, R)
 
 
 def optimal_restart_interval(lam, mu, mode="operator"):
@@ -362,10 +367,15 @@ def optimal_restart_interval(lam, mu, mode="operator"):
     return max(1, round(k))
 
 
-def forward_method(operator, beta, y0, iters):
+def forward_method(operator, beta, y0, iters, variant="plain", restart=None, R=None):
     """Forward iteration ``y_{i+1} = (I - beta*M) y_i`` for a
-    beta-cocoercive single-valued ``M``.
+    beta-cocoercive single-valued ``M``, run by :func:`iterate` with the
+    given ``variant``, ``restart`` and ``R``.
 
+    ``I - beta*M`` is then firmly nonexpansive, so it is the resolvent of a
+    maximally monotone operator and every rate of the loop applies: with
+    ``variant="proposed"`` and ``R`` the distance from ``y0`` to a zero of
+    ``M``, the residual ``beta^2 ||M y_{i-1}||^2`` is at most ``R^2/i^2``.
     Cocoercivity is the caller's responsibility; for the Yosida map of
     index ``lam`` with ``beta = lam`` this reproduces the proximal point
     method, since ``J = I - lam * M_lam``.
@@ -376,4 +386,4 @@ def forward_method(operator, beta, y0, iters):
     def step(y):
         return y - beta * np.asarray(operator(y))
 
-    return _iterate(step, y0, iters, "plain")
+    return iterate(step, y0, iters, variant, restart, R)

@@ -3,10 +3,9 @@ the saddle-point solver, the proximal method of multipliers, PDHG,
 Douglas-Rachford, and ADMM, plus the proximal building blocks they need.
 
 Each engine is a step on a stacked point run by the shared momentum loop
-of :mod:`proxpoint.methods`. ``variant`` selects the plain iteration,
-the accelerated update with the correction term, or (all but ADMM) one
-of the two inertia-only variants; every engine restarts at a fixed
-interval or adaptively.
+:func:`proxpoint.methods.iterate`, whose ``variant`` (for ADMM only
+``"plain"`` or ``"proposed"``) and ``restart`` keywords every engine
+takes.
 They return a :class:`~proxpoint.methods.ResidualTrace` with squared
 fixed-point residuals (preconditioned for PDHG), constraint
 infeasibility for ADMM, and saddle gaps when a saddle point is supplied.
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .methods import _iterate
+from .methods import iterate
 from .operators import InnerSolverError, _factor, as_vector
 
 __all__ = [
@@ -273,8 +272,7 @@ def _subproblem(f, q_mat, inner, warm, spectrum):
 
 
 def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
-                           restart_interval=None, adaptive_restart=False,
-                           saddle=None, R=None):
+                           restart=None, saddle=None, R=None):
     """Proximal point method on a convex-concave saddle function, with the
     accelerated update applied to the stacked iterates.
 
@@ -286,12 +284,8 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     u0, v0 : array_like
         Starting primal and dual points.
     iters : int
-    variant : str
-        ``"plain"``, ``"proposed"``, ``"guler1"`` or ``"guler2"``.
-    restart_interval : int, optional
-        Restart the accelerated update every so many iterations.
-    adaptive_restart : bool
-        Also restart whenever the residual increases.
+    variant, restart
+        As for :func:`~proxpoint.methods.iterate`.
     saddle : tuple, optional
         Known saddle point ``(u*, v*)``; fills the gap column
         ``phi(u_i, v*) - phi(u*, v_i)``.
@@ -303,13 +297,11 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     resolvent = saddle_resolvent_map(phi, lam)
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
     gap = None if saddle is None else phi.gap_scorer(*saddle)
-    return _iterate(resolvent, x0, iters, variant, restart_interval,
-                    adaptive_restart, R, gap=gap)
+    return iterate(resolvent, x0, iters, variant, restart, R, gap=gap)
 
 
 def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
-                                 inner=None, variant="proposed",
-                                 restart_interval=None, adaptive_restart=False,
+                                 inner=None, variant="proposed", restart=None,
                                  R=None):
     """Accelerated proximal method of multipliers for
     ``min f(u) s.t. A u = b``.
@@ -343,8 +335,7 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
         return np.concatenate([u, v])
 
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    return _iterate(step, x0, iters, variant, restart_interval,
-                    adaptive_restart, R)
+    return iterate(step, x0, iters, variant, restart, R)
 
 
 def pdhg_preconditioner(k, tau, sigma):
@@ -359,8 +350,8 @@ def pdhg_preconditioner(k, tau, sigma):
     return Preconditioner(np.vstack([top, bottom]))
 
 
-def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed",
-         restart_interval=None, adaptive_restart=False, R=None, norm_k=None):
+def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed", restart=None,
+         R=None, norm_k=None):
     """Primal-dual hybrid gradient method with the accelerated update.
 
     Requires ``tau * sigma * ||K||^2 < 1``, which makes the underlying
@@ -393,12 +384,11 @@ def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed",
         return float(du @ du / tau - 2.0 * (dv @ (k @ du)) + dv @ dv / sigma)
 
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    return _iterate(step, x0, iters, variant, restart_interval,
-                    adaptive_restart, R, residual_sq=residual_sq)
+    return iterate(step, x0, iters, variant, restart, R, residual_sq=residual_sq)
 
 
-def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed",
-        restart_interval=None, adaptive_restart=False, R=None):
+def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed", restart=None,
+        R=None):
     """Douglas-Rachford splitting with the accelerated update.
 
     ``resolvent1`` and ``resolvent2`` must be the resolvents of
@@ -423,8 +413,7 @@ def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed",
             raise FloatingPointError("non-finite output of resolvent2") from exc
         return np.asarray(j1, dtype=float) + eta - j2
 
-    return _iterate(step, nu0, iters, variant, restart_interval,
-                    adaptive_restart, R)
+    return iterate(step, nu0, iters, variant, restart, R)
 
 
 def _admm_x_solver(f, constraint, rho, inner):
@@ -461,22 +450,23 @@ def _admm_z_solver(g, constraint, rho, inner):
         b.T @ (eta_hat - rho * (constraint.c - constraint.A @ x)))
 
 
-def admm(f, g, constraint, rho, x0, z0, nu0, iters, variant="proposed",
-         restart_interval=None, adaptive_restart=False, R=None, inner=None):
+def admm(f, g, constraint, rho, x0, z0, nu0, iters, variant="proposed", restart=None,
+         R=None, inner=None):
     """Alternating direction method of multipliers: ``variant`` is
     ``"plain"`` or the accelerated ``"proposed"``, and any other raises
     ``ValueError``.
 
     ADMM is Douglas-Rachford splitting on the dual inclusion. One step
-    maps the stacked point ``(nu_hat_i, x_{i+1})`` to ``(nu_hat_{i+1},
-    x_{i+2})``: the z-update at the given point, the dual ascent step, then
-    the x-update minimizing the augmented Lagrangian at the new
+    maps the stacked point ``(nu_hat_i, z_i, x_{i+1})`` to ``(nu_hat_{i+1},
+    z_{i+1}, x_{i+2})``: the z-update at the given point, the dual ascent
+    step, then the x-update minimizing the augmented Lagrangian at the new
     ``nu_hat``. The affine map ``(nu_hat, x) -> nu_hat + rho (A x - c)``
     takes this point to the dual Douglas-Rachford iterate, so extrapolating
-    the stacked point is the accelerated Douglas-Rachford update (plain
-    ADMM never extrapolates). Record ``i`` holds the infeasibility
-    ``||A x_{i+1} + B z_i - c||^2``, whose ``rho^2`` multiple is the
-    fixed-point residual of the underlying splitting iteration.
+    it is the accelerated Douglas-Rachford update (plain ADMM never
+    extrapolates); no step reads the extrapolated ``z``. Record ``i`` holds
+    the infeasibility ``||A x_{i+1} + B z_i - c||^2``, which an adaptive
+    restart tests, and its ``rho^2`` multiple, the fixed-point residual of
+    the underlying splitting iteration.
 
     Both updates are subproblems ``f(x) + x'Qx/2 + q'x`` with ``Q = rho
     A'A`` (``rho B'B`` and ``g`` for z), solved by the rule the proximal
@@ -498,27 +488,31 @@ def admm(f, g, constraint, rho, x0, z0, nu0, iters, variant="proposed",
     solve_x = _admm_x_solver(f, constraint, rho, inner)
     solve_z = _admm_z_solver(g, constraint, rho, inner)
     x0, z0, nu0 = as_vector(x0), as_vector(z0), as_vector(nu0)
+    # Column ranges of the stacked point: nu_hat [:d2], z [d2:dx], x [dx:].
     d2 = nu0.size
-    zs, infeas = [z0], []
+    dx = d2 + z0.size
 
     def step(s):
-        nu_hat, x = s[:d2], s[d2:]
+        nu_hat, x = s[:d2], s[dx:]
         z = solve_z(nu_hat, x)
         nu_hat = nu_hat + rho * constraint.residual(x, z)
-        zs.append(z)
-        return np.concatenate([nu_hat, solve_x(nu_hat, z)])
+        return np.concatenate([nu_hat, z, solve_x(nu_hat, z)])
 
-    def residual_sq(s_new, s):
-        viol = constraint.residual(s_new[d2:], zs[-1])
-        infeas.append(float(viol @ viol))
-        return rho * rho * infeas[-1]
+    def infeasibility(s_new, s):
+        viol = constraint.residual(s_new[dx:], s_new[d2:dx])
+        return float(viol @ viol)
 
-    start = np.concatenate([nu0, solve_x(nu0, z0)])
-    trace = _iterate(step, start, iters, variant, restart_interval,
-                     adaptive_restart, R, residual_sq=residual_sq)
+    start = np.concatenate([nu0, z0, solve_x(nu0, z0)])
+    trace = iterate(step, start, iters, variant, restart, R, residual_sq=infeasibility)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = rho * rho * trace.residuals
+    overflow = np.flatnonzero(~np.isfinite(residuals))
+    if overflow.size:
+        raise FloatingPointError(
+            f"non-finite residual or iterate at iteration {overflow[0] + 1}")
+    trace.infeasibility, trace.residuals = trace.residuals, residuals
     xs, ys = trace.xs, trace.ys
-    trace.infeasibility = np.array(infeas)
     trace.iterates.update(
-        x=np.vstack([x0, xs[:, d2:]]), z=np.array(zs), nu_hat=xs[:, :d2],
-        eta_hat=ys[:, :d2] + rho * (ys[:, d2:] - xs[:-1, d2:]) @ constraint.A.T)
+        x=np.vstack([x0, xs[:, dx:]]), z=xs[:, d2:dx], nu_hat=xs[:, :d2],
+        eta_hat=ys[:, :d2] + rho * (ys[:, dx:] - xs[:-1, dx:]) @ constraint.A.T)
     return trace

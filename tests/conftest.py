@@ -447,12 +447,31 @@ def reference_saddle_gap(phi, u, v, u_star, v_star):
 # The CLI's figure runners before they shared one driver: verbatim copies
 # of the task expansion, the radius line, the five runners with their
 # run(task) closures and the figure branch of run_experiment. ``sp`` is
-# the splitting module as they called it, with ADMM's old ``accelerate=``
-# flag mapped onto ``variant``. The CLI must write the same CSV bytes.
+# the splitting module as they called it: ADMM's old ``accelerate=`` flag
+# is mapped onto ``variant``, and every engine's old ``restart_interval=``
+# and ``adaptive_restart=`` onto ``restart``; ``_restart_intervals`` stands
+# for the old ``RunConfig.restart_intervals``, with None for adaptive.
+# The CLI must write the same CSV bytes.
+
+def _restart_keywords(engine):
+    def call(*args, restart_interval=None, adaptive_restart=False, **kwargs):
+        restart = "adaptive" if adaptive_restart else restart_interval
+        return engine(*args, restart=restart, **kwargs)
+
+    return call
+
 
 sp = SimpleNamespace(**vars(splitting))
-sp.admm = lambda *args, accelerate=True, **kwargs: splitting.admm(
+for _name in ("accelerated_saddle_ppm", "accelerated_prox_multipliers", "pdhg"):
+    setattr(sp, _name, _restart_keywords(getattr(splitting, _name)))
+sp.admm = lambda *args, accelerate=True, **kwargs: _restart_keywords(splitting.admm)(
     *args, variant="proposed" if accelerate else "plain", **kwargs)
+
+
+def _restart_intervals(config):
+    if config.restart is not None:
+        return (None if config.restart == "adaptive" else config.restart,)
+    return tuple(config.preset.get("restarts", ()))
 
 
 def _restart_label(interval):
@@ -464,7 +483,7 @@ def _expand_methods(config):
     tasks = []
     for name in config.methods:
         if name == "restarted":
-            intervals = config.restart_intervals()
+            intervals = _restart_intervals(config)
             if not intervals:
                 raise ConfigError(
                     "the restarted method needs --restart or --adaptive-restart")

@@ -71,7 +71,7 @@ class TestConfigValidation:
         ("cert", "--lambda", "2"),
         ("cert", "--seed", "3"),
         ("fig1", "--restart", "5"),
-        ("fig3-desk", "--method", "accel", "--adaptive-restart"),
+        ("fig3-desk", "--method", "accel", "--restart", "adaptive"),
     ])
     def test_flag_the_experiment_does_not_read_is_config_error(self, tmp_path, args):
         code, out = run_cli(tmp_path, "--experiment", *args)
@@ -84,7 +84,7 @@ class TestConfigValidation:
         ("fig3", "--seed", "5", "--lambda", "0.1"),
         ("fig4", "--seed", "5", "--tau", "0.1", "--sigma", "0.1"),
         ("fig5-desk", "--seed", "5", "--rho", "0.1", "--gamma", "1"),
-        ("fig1", "--method", "restarted", "--adaptive-restart"),
+        ("fig1", "--method", "restarted", "--restart", "adaptive"),
         ("cert", "--nmax", "5"),
     ])
     def test_flags_the_experiment_reads_are_accepted(self, args):
@@ -166,7 +166,7 @@ class TestFigureRuns:
 
     def test_adaptive_restart_method(self, tmp_path):
         code, out = run_cli(tmp_path, "--experiment", "fig2", "--iters", "60",
-                            "--method", "restarted", "--adaptive-restart")
+                            "--method", "restarted", "--restart", "adaptive")
         assert code == 0
         _, rows = parse_rows(out)
         assert {r["method"] for r in rows} == {"adaptive-restart"}
@@ -183,7 +183,7 @@ _DRIVER_CASES = [(experiment, *methods)
                  for methods in [(), ("--method", "guler1", "--method", "guler2"),
                                  ("--method", "restarted", "--restart", "7"),
                                  ("--method", "ppm", "--method", "restarted",
-                                  "--adaptive-restart")]
+                                  "--restart", "adaptive")]
                  if not (experiment == "fig5-desk" and "guler1" in methods)]
 
 
@@ -511,9 +511,14 @@ class TestDivergenceAndRestartFlags:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
-    def test_fixed_and_adaptive_restart_are_exclusive(self, tmp_path):
+    @pytest.mark.parametrize("args", [("--restart", "0"), ("--restart", "-3"),
+                                      ("--restart", "2.5"), ("--restart", "foo"),
+                                      ("--restart", "Adaptive"),
+                                      ("--adaptive-restart",)])
+    def test_bad_restart_is_config_error(self, tmp_path, capsys, args):
+        # --adaptive-restart is gone: argparse refuses it as an unknown flag.
         code, out = run_cli(tmp_path, "--experiment", "fig2", "--iters", "60",
-                            "--method", "restarted", "--restart", "50",
-                            "--adaptive-restart")
+                            "--method", "restarted", *args)
         assert code == 1
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")

@@ -14,6 +14,7 @@ from proxpoint import (
     accelerated_ppm,
     accelerated_saddle_ppm,
     build_h,
+    drs,
     forward_method,
     general_ppm,
     guler,
@@ -29,7 +30,7 @@ from proxpoint import (
     yosida,
 )
 from proxpoint import splitting
-from proxpoint.methods import (_euclidean_sq, _iterate, accelerated_rate_bound,
+from proxpoint.methods import (_euclidean_sq, accelerated_rate_bound, iterate,
                                ppm_rate_bound)
 from conftest import random_monotone_operator, reference_general_ppm, reference_iterate
 
@@ -209,6 +210,37 @@ class TestRestarted:
             restarted(lambda y: y, [0.0], None, 10)
 
 
+# Unchecked, 2.5 would restart at 3, 6, 9 and True at every step.
+BAD_RESTARTS = [True, False, np.True_, 2.5, 3.0, np.float64(4.0), 0, -2, np.int64(0),
+                "foo", "Adaptive", "7", [7]]
+
+
+class TestRestartSetting:
+    @pytest.mark.parametrize("restart", BAD_RESTARTS, ids=repr)
+    def test_rejected_by_the_loop_the_alias_and_an_engine(self, restart):
+        resolvent = rotation_resolvent(10)
+        runs = [lambda: iterate(resolvent, START, 10, "proposed", restart),
+                lambda: restarted(resolvent, START, restart, 10),
+                lambda: drs(resolvent, lambda y: y, 1.0, START, 10, restart=restart)]
+        for run in runs:
+            with pytest.raises(ValueError, match="restart must be"):
+                run()
+
+    @pytest.mark.parametrize("restart", [1, 4, np.int64(4), np.int32(4), np.uint8(4),
+                                         "adaptive", None], ids=repr)
+    def test_integers_adaptive_and_none_accepted(self, restart):
+        op = strongly_monotone_toy(100, 1.0, 0.02)
+        trace = iterate(linear_resolvent(op, 1.0), START, 40, "proposed", restart)
+        if restart in (None, "adaptive"):
+            assert trace.restarts == ([] if restart is None else [33])
+        else:
+            assert trace.restarts == list(range(int(restart), 40, int(restart)))
+
+    def test_restarted_takes_exactly_one_rule(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            restarted(lambda y: y, [0.0], 5, 10, adaptive=True)
+
+
 class TestOptimalRestartInterval:
     def test_full_scale_values(self):
         assert optimal_restart_interval(1.0, 0.02, "operator") == 136
@@ -281,7 +313,7 @@ class TestOneScanPerIteration:
 
         with pytest.raises(FloatingPointError,
                            match="residual or iterate at iteration 3"):
-            _iterate(step, START, 10, variant, residual_sq=residual_sq)
+            iterate(step, START, 10, variant, residual_sq=residual_sq)
         assert len(calls) == 3
 
 
@@ -297,7 +329,7 @@ class TestBoundColumn:
         iters = 3000
         radii = CSV_RADII + list(1e3 * rng.uniforms(5)) + [1e-3, 7.0 / 3.0]
         for radius in radii:
-            trace = _iterate(lambda y: 0.5 * y, START, iters, variant, R=radius)
+            trace = iterate(lambda y: 0.5 * y, START, iters, variant, R=radius)
             expected = np.array([rate(radius, i) for i in np.arange(1, iters + 1)])
             assert np.array_equal(trace.bounds, expected)
 
@@ -337,7 +369,7 @@ class TestExtrapolationDivergence:
     def test_same_error_and_iteration(self, poison_after, step, residual_sq, variant):
         poison_after(4)
         with pytest.raises(FloatingPointError) as info:
-            _iterate(step, START, 10, variant, residual_sq=residual_sq)
+            iterate(step, START, 10, variant, residual_sq=residual_sq)
         assert str(info.value) == "non-finite extrapolated point after iteration 4"
 
     def test_final_extrapolation_is_never_formed(self, poison_after):
@@ -367,9 +399,16 @@ def assert_same_trace(got, want):
     assert got.restarts == want.restarts
 
 
-RESTARTS = [pytest.param({}, id="none"), pytest.param({"interval": 7}, id="interval 7"),
-            pytest.param({"interval": 300}, id="interval 300"),
-            pytest.param({"adaptive": True}, id="adaptive")]
+RESTARTS = [pytest.param(None, id="none"), pytest.param(7, id="interval 7"),
+            pytest.param(300, id="interval 300"), pytest.param("adaptive", id="adaptive")]
+
+
+def reference_loop(step, x0, iters, variant="plain", restart=None, R=None, **scorers):
+    """``iterate``'s signature on the list-based loop, whose restart keywords
+    are ``interval`` and ``adaptive``."""
+    adaptive = restart == "adaptive"
+    return reference_iterate(step, x0, iters, variant, None if adaptive else restart,
+                             adaptive, R, **scorers)
 
 
 class TestTraceArrays:
@@ -382,15 +421,13 @@ class TestTraceArrays:
     def test_matches_the_list_loop(self, rng, d, variant, restart, R):
         resolvent = linear_resolvent(random_monotone_operator(rng, d, mu=0.05), 0.8)
         x0 = rng.normals(d)
-        assert_same_trace(_iterate(resolvent, x0, 200, variant, R=R, **restart),
-                          reference_iterate(resolvent, x0, 200, variant, R=R, **restart))
+        assert_same_trace(iterate(resolvent, x0, 200, variant, restart, R),
+                          reference_loop(resolvent, x0, 200, variant, restart, R))
 
     @pytest.mark.parametrize("restart", RESTARTS)
     @pytest.mark.parametrize("variant", ["plain", "proposed", "guler1", "guler2"])
     def test_gaps_and_pdhg_residual_match_the_list_loop(self, monkeypatch, rng,
                                                          variant, restart):
-        restart = {"restart_interval": restart.get("interval"),
-                   "adaptive_restart": restart.get("adaptive", False)}
         b1, b2 = rng.normal_matrix(2, 2), rng.normal_matrix(3, 3)
         phi = QuadraticSaddle(b1 @ b1.T / 2, rng.normal_matrix(3, 2), b2 @ b2.T / 3,
                               a=rng.normals(2), b=rng.normals(3))
@@ -401,13 +438,13 @@ class TestTraceArrays:
 
         def runs():
             return [
-                accelerated_saddle_ppm(phi, 0.9, u0, v0, 150, variant, R=2.0,
-                                       saddle=phi.saddle_point(), **restart),
-                pdhg(f, g, k, tau, sigma, u0, v0, 150, variant, R=2.0, **restart),
+                accelerated_saddle_ppm(phi, 0.9, u0, v0, 150, variant, restart, R=2.0,
+                                       saddle=phi.saddle_point()),
+                pdhg(f, g, k, tau, sigma, u0, v0, 150, variant, restart, R=2.0),
             ]
 
         got = runs()
-        monkeypatch.setattr(splitting, "_iterate", reference_iterate)
+        monkeypatch.setattr(splitting, "iterate", reference_loop)
         for trace, want in zip(got, runs(), strict=True):
             assert_same_trace(trace, want)
 
@@ -448,5 +485,5 @@ class TestStepShape:
         message = (f"step returned shape {np.shape(bad)} at iteration 3, "
                    f"expected the start's shape {x0.shape}")
         with pytest.raises(ValueError, match=re.escape(message)):
-            _iterate(step, x0, 10, variant)
+            iterate(step, x0, 10, variant)
         assert len(calls) == 3

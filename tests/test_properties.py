@@ -10,14 +10,18 @@ from proxpoint import (
     AffineConstraint,
     ProxDescriptor,
     SplitMix64,
+    DenseLinearOperator,
     accelerated_ppm,
     admm,
+    forward_method,
     linear_resolvent,
     ppm,
     restarted,
+    rotation_worst_case,
     tv_instance,
     tv_solution,
     verify_certificate,
+    yosida,
 )
 from conftest import random_monotone_operator
 from test_problems import assert_tv_kkt
@@ -125,3 +129,78 @@ def test_tv_solution_is_a_kkt_and_admm_fixed_point(seed, d1, p, log_gamma, noise
                 x_star, d @ x_star, nu_star, 1, variant="plain")
     radius = float(np.linalg.norm(nu_star + rho * (d @ x_star)))
     assert math.sqrt(step.residuals[0]) <= 1e-9 * max(1.0, radius)
+
+
+# Forward steps (ROADMAP item 2): for a beta-cocoercive M, I - beta*M is
+# firmly nonexpansive, so the accelerated rate bounds beta^2 ||M y_{i-1}||^2
+# by R^2/i^2, with R the distance to a zero of M. Each linear M has the
+# zero 0, so R = ||y0|| is admissible. Three families: symmetric PSD M
+# (rank 1..dim) with beta a fraction of 1/||M||; the Yosida map of index
+# lam of a random monotone operator whose symmetric part is scaled by
+# ``fraction**3`` (down to nearly skew), with beta = lam; and the Yosida
+# map of the worst-case rotation for horizon n, on which the bound is
+# nearly attained. The slack covers rounding only: the residual is a
+# difference of iterates of size up to R, while the plain variant's
+# (1-1/i)^(i-1)/i rate overshoots the bound by a factor near i/e.
+FORWARD_SLACK = 1e-9
+
+
+def _cocoercive(family, seed, dim, fraction):
+    rng = SplitMix64(seed)
+    if family == "psd":
+        b = rng.normal_matrix(dim, 1 + seed % dim)
+        m = b @ b.T
+        return DenseLinearOperator(m), fraction / np.linalg.eigvalsh(m)[-1], rng.normals(dim)
+    lam = 0.1 + 2.0 * fraction
+    if family == "rotation":
+        op, y0 = rotation_worst_case(2 + seed % 199, lam), np.array([1.0, 0.0])
+    else:
+        op, y0 = random_monotone_operator(rng, dim, fraction ** 3), rng.normals(dim)
+    return yosida(linear_resolvent(op, lam), lam), lam, y0
+
+
+@PROPERTY
+@given(family=st.sampled_from(["psd", "yosida", "rotation"]), seed=SEEDS,
+       dim=st.integers(1, 6), fraction=st.floats(0.05, 1.0), iters=st.integers(1, 120))
+def test_accelerated_forward_steps_keep_the_rate(family, seed, dim, fraction, iters):
+    operator, beta, y0 = _cocoercive(family, seed, dim, fraction)
+    radius = float(np.linalg.norm(y0))
+    trace = forward_method(operator, beta, y0, iters, variant="proposed", R=radius)
+    i = trace.iterations.astype(float)
+    assert np.array_equal(trace.bounds, radius ** 2 / i ** 2)
+    # The residual column is beta^2 ||M y_{i-1}||^2, up to the rounding of
+    # a difference of iterates, which scales with R.
+    steps = beta * np.linalg.norm([operator(y) for y in trace.ys], axis=1)
+    assert np.allclose(np.sqrt(trace.residuals), steps, rtol=1e-12, atol=1e-12 * radius)
+    assert np.all(trace.residuals <= trace.bounds * (1.0 + FORWARD_SLACK))
+
+
+def _adaptive_restarts(scores):
+    """Iterations after which the adaptive rule restarts, reading a run's
+    per-iteration scores (none after the last iteration)."""
+    restarts, prev = [], math.inf
+    for g, score in enumerate(scores[:-1], 1):
+        if score > prev:
+            restarts.append(g)
+            prev = math.inf
+        else:
+            prev = score
+    return restarts
+
+
+# ADMM's adaptive restart tests the infeasibility that the loop scores; its
+# residual is the rho^2 multiple. The two tests pick the same iterations
+# unless two consecutive infeasibilities round to the same multiple, so
+# replaying the rule on the residual column must give the trace's restarts.
+@PROPERTY
+@given(seed=SEEDS, d1=st.integers(5, 40), log_rho=st.floats(-2.0, 1.0),
+       log_gamma=st.floats(-1.0, 1.0))
+def test_admm_adaptive_restarts_read_the_same_on_the_residual(seed, d1, log_rho,
+                                                             log_gamma):
+    inst = tv_instance(d1, 3, seed, 0.1)
+    cons = AffineConstraint(inst["D"], -np.eye(d1 - 1), np.zeros(d1 - 1))
+    trace = admm(ProxDescriptor.quadratic(inst["H"], inst["b"]),
+                 ProxDescriptor.l1(d1 - 1, 10.0 ** log_gamma), cons, 10.0 ** log_rho,
+                 np.zeros(d1), np.zeros(d1 - 1), np.zeros(d1 - 1), 150, restart="adaptive")
+    assert _adaptive_restarts(trace.infeasibility) == trace.restarts
+    assert _adaptive_restarts(trace.residuals) == trace.restarts

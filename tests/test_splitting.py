@@ -33,7 +33,7 @@ from proxpoint import (
     tv_instance,
 )
 from proxpoint import SplitMix64, splitting
-from proxpoint.methods import Momentum, _iterate
+from proxpoint.methods import Momentum, iterate
 from conftest import (
     lu_solve_factor,
     random_monotone_operator,
@@ -184,7 +184,7 @@ class TestSaddlePPM:
         lam, mu, k = 1.0, 0.02, 68
         phi = toy_saddle(100, lam, mu)
         trace = accelerated_saddle_ppm(phi, lam, [1.0], [0.0], 3 * k,
-                                       restart_interval=k,
+                                       restart=k,
                                        saddle=([0.0], [0.0]))
         factor = 1.0 / (2.0 * lam * mu * k)
         for j in (1, 2):
@@ -226,7 +226,7 @@ class TestProxMultipliers:
         }
         restarted = accelerated_prox_multipliers(
             f, inst["A"], inst["b"], 0.01, u0, v0, 100,
-            variant="proposed", restart_interval=30)
+            variant="proposed", restart=30)
         assert runs["guler1"].residuals[-1] > runs["guler1"].residuals[0]
         assert runs["proposed"].residuals[-1] < runs["plain"].residuals[-1]
         assert restarted.residuals[-1] < runs["proposed"].residuals[-1]
@@ -352,7 +352,7 @@ class TestPDHG:
         plain = pdhg(f, g, k, tau, sigma, u0, v0, 100, variant="plain")
         diverging = pdhg(f, g, k, tau, sigma, u0, v0, 100, variant="guler1")
         restarted = pdhg(f, g, k, tau, sigma, u0, v0, 100,
-                         variant="proposed", restart_interval=10)
+                         variant="proposed", restart=10)
         assert diverging.residuals[-1] > diverging.residuals[0]
         assert restarted.residuals[-1] < plain.residuals[-1]
 
@@ -403,19 +403,17 @@ class TestDRS:
         scaled = trace.residuals * trace.iterations.astype(float) ** 2
         assert np.all(scaled <= radius2 * (1.0 + 1e-6))
 
-    @pytest.mark.parametrize("variant,interval,adaptive", [
-        ("plain", None, False), ("proposed", None, False), ("guler1", None, False),
-        ("guler2", None, False), ("proposed", 7, False), ("proposed", None, True)])
-    def test_matches_the_scanning_step_bit_for_bit(self, variant, interval, adaptive):
+    @pytest.mark.parametrize("variant,restart", [
+        ("plain", None), ("proposed", None), ("guler1", None), ("guler2", None),
+        ("proposed", 7), ("proposed", "adaptive")])
+    def test_matches_the_scanning_step_bit_for_bit(self, variant, restart):
         rng = SplitMix64(31)
         for dim in (2, 5, 40):
             j1 = linear_resolvent(random_monotone_operator(rng, dim), 0.8)
             j2 = linear_resolvent(random_monotone_operator(rng, dim), 0.8)
             nu0 = rng.normals(dim)
-            got = drs(j1, j2, 0.8, nu0, 60, variant=variant,
-                      restart_interval=interval, adaptive_restart=adaptive)
-            want = _iterate(reference_drs_step(j1, j2), nu0, 60, variant,
-                            interval, adaptive)
+            got = drs(j1, j2, 0.8, nu0, 60, variant=variant, restart=restart)
+            want = iterate(reference_drs_step(j1, j2), nu0, 60, variant, restart)
             for name in ("xs", "ys", "residuals"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert got.restarts == want.restarts
@@ -540,7 +538,7 @@ class TestADMM:
         x0, z0, nu0 = np.zeros(100), np.zeros(d2), np.zeros(d2)
         plain = admm(f, g, cons, 0.05, x0, z0, nu0, 500, variant="plain")
         restarted = admm(f, g, cons, 0.05, x0, z0, nu0, 500, variant="proposed",
-                         restart_interval=20)
+                         restart=20)
         assert restarted.residuals[-1] < plain.residuals[-1]
 
     def test_l1_z_requires_signed_identity(self):
@@ -557,6 +555,25 @@ class TestADMM:
         cons = AffineConstraint(np.ones((2, 3)), -np.eye(2), np.zeros(2))
         with pytest.raises(SingularSystemError):
             admm(f, g, cons, 1.0, np.zeros(3), np.zeros(2), np.zeros(2), 2)
+
+    def test_finite_infeasibility_whose_residual_overflows_raises(self, monkeypatch):
+        # The loop scores the infeasibility, 3e20 here and finite; its rho^2
+        # multiple overflows, which must stop the run, not be written as inf.
+        loop, scored = splitting.iterate, []
+
+        def recording(*args, **kwargs):
+            trace = loop(*args, **kwargs)
+            scored.append(trace.residuals.copy())
+            return trace
+
+        monkeypatch.setattr(splitting, "iterate", recording)
+        f = ProxDescriptor.quadratic(np.eye(3), 1e160 * np.ones(3))
+        cons = AffineConstraint(np.eye(3), -np.eye(3), np.zeros(3))
+        start = np.zeros(3)
+        with pytest.raises(FloatingPointError, match="at iteration 1$"):
+            admm(f, ProxDescriptor.zero(3), cons, 1e150, start, start, start, 5,
+                 variant="plain")
+        assert np.all(np.isfinite(scored[0]))
 
     @pytest.mark.parametrize("variant", ["guler1", "guler2", "bogus"])
     def test_variants_other_than_plain_and_proposed_raise(self, variant):
@@ -576,8 +593,7 @@ class TestADMM:
 
 
 class TestSharedEngine:
-    @pytest.mark.parametrize("restart", [{"restart_interval": 20},
-                                         {"adaptive_restart": True}])
+    @pytest.mark.parametrize("restart", [{"restart": 20}, {"restart": "adaptive"}])
     def test_accelerated_admm_is_momentum_on_the_dual_point(self, restart):
         # Accelerated ADMM extrapolates the dual Douglas-Rachford point
         # w = nu_hat + rho (A x - c); drive that map by hand with Momentum.
@@ -606,8 +622,8 @@ class TestSharedEngine:
             assert np.max(np.abs(w_new - dual[i])) <= 1e-10
             assert res == pytest.approx(trace.residuals[i - 1], rel=1e-10, abs=1e-20)
             since += 1
-            if i < iters and (since == restart.get("restart_interval")
-                              or (restart.get("adaptive_restart")
+            if i < iters and (since == restart["restart"]
+                              or (restart["restart"] == "adaptive"
                                   and prev_res is not None and res > prev_res)):
                 mom.reset()
                 w = y = y_prev = w_new
@@ -626,7 +642,7 @@ class TestSharedEngine:
         f = ProxDescriptor.linear(inst["a"])
         g = ProxDescriptor.linear(inst["b"])
         trace = pdhg(f, g, k, tau, sigma, np.ones(10), np.ones(5), 30,
-                     restart_interval=30, R=2.0)
+                     restart=30, R=2.0)
         assert trace.restarts == []
         assert_allclose(trace.bounds, 4.0 / trace.iterations.astype(float) ** 2,
                         rtol=0, atol=0)
@@ -634,7 +650,7 @@ class TestSharedEngine:
     def test_saddle_interval_beyond_horizon_keeps_bound(self):
         phi = toy_saddle(100, 1.0, 0.02)
         trace = accelerated_saddle_ppm(phi, 1.0, [1.0], [0.0], 40,
-                                       restart_interval=50, R=1.0)
+                                       restart=50, R=1.0)
         assert_allclose(trace.bounds, 1.0 / trace.iterations.astype(float) ** 2,
                         rtol=0, atol=0)
         assert np.all(trace.residuals <= trace.bounds * (1.0 + 1e-9))
@@ -739,7 +755,7 @@ class TestSubproblemRule:
         u0, v0 = rng.normals(d1), rng.normals(d2)
         inner = InnerSolverConfig()
         trace = accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, 30,
-                                             inner=inner, restart_interval=12)
+                                             inner=inner, restart=12)
         # Replay every step's point through the reference u-update, in
         # order, so its warm starts follow the engine's.
         solve_u = reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0, inner)
