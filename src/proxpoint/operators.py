@@ -8,10 +8,12 @@ semidefinite, and mu-strongly monotone when that part dominates
 ``mu * I``.
 """
 
+import ctypes
 import functools
 import importlib.util
 import math
 import os
+import threading
 from importlib.machinery import PathFinder
 
 import numpy as np
@@ -225,6 +227,29 @@ def _factor(system):
     return solve
 
 
+@functools.cache
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS that ``_flapack``
+    links, or ``None`` when that LAPACK is not OpenBLAS (MKL, Accelerate).
+
+    The symbol is looked up through the extension's own handle, so it is
+    found in that module's dependencies only: in the scipy wheel that is
+    ``scipy.libs/libscipy_openblas-*.so``, not numpy's 64-bit build. It
+    sets the process-wide thread count and returns the previous one.
+    """
+    try:
+        setter = ctypes.CDLL(_flapack().__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+# Serializes the pin below: ctypes calls release the GIL, so two callers
+# interleaving set(1)/restore would leave the process on one thread.
+_BLAS_THREAD_LOCK = threading.Lock()
+
+
 def _min_eigenvalue(matrix):
     """Smallest eigenvalue of the symmetric ``matrix``, from its lower triangle.
 
@@ -233,9 +258,21 @@ def _min_eigenvalue(matrix):
     ``eigvalsh`` does, then bisects for the one eigenvalue instead of
     computing all of them. Raises ``ArithmeticError`` when LAPACK reports
     a failure or returns no eigenvalue.
+
+    Where that LAPACK is OpenBLAS, the call runs on one thread and then
+    restores the count it found, also on failure: on the few-hundred-row
+    matrices passed here a second thread mostly spin-waits, and its split
+    of the reduction moves the last bits of the result with the count.
     """
-    w, _, found, _, info = _flapack().dsyevr(matrix, compute_v=0, range="I",
-                                            lower=1, il=1, iu=1)
+    set_threads = _blas_thread_setter()
+    with _BLAS_THREAD_LOCK:
+        previous = set_threads and set_threads(1)
+        try:
+            w, _, found, _, info = _flapack().dsyevr(matrix, compute_v=0, range="I",
+                                                    lower=1, il=1, iu=1)
+        finally:
+            if previous:
+                set_threads(previous)
     if info != 0 or found < 1:
         raise ArithmeticError(f"dsyevr failed to find the smallest eigenvalue (info={info})")
     return float(w[0])
@@ -319,10 +356,6 @@ class QuadraticSaddle:
         self.b = np.zeros(d2) if b is None else as_vector(b)
         if self.a.size != d1 or self.b.size != d2:
             raise ValueError("linear term dimensions disagree with the blocks")
-
-    @property
-    def dims(self):
-        return self.q_uu.shape[0], self.q_vv.shape[0]
 
     def gap_scorer(self, u_star, v_star):
         """``x -> phi(u, v*) - phi(u*, v)``, ``(u, v) = (x[:d1], x[d1:])``:

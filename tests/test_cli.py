@@ -355,6 +355,31 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("numerical failure: dsyevr")
 
+    @pytest.mark.parametrize("excess,code", [(1e-8, 2), (1e-10, 0)])
+    def test_residual_above_its_bound_exits_two_without_csv(self, tmp_path, monkeypatch,
+                                                           capsys, excess, code):
+        real = cli._RUNNERS["fig1"]
+
+        def runner(config):
+            meta, engine, start, radius = real(config)
+
+            def violating(start, iters, variant, restart, R):
+                trace = engine(start, iters, variant, restart, R)
+                if trace.bounds is not None:
+                    trace.residuals[6] = trace.bounds[6] * (1.0 + excess)
+                return trace
+
+            return meta, violating, start, radius
+
+        monkeypatch.setitem(cli._RUNNERS, "fig1", runner)
+        got, out = run_cli(tmp_path, "--experiment", "fig1", "--iters", "10")
+        assert got == code
+        assert out.exists() == (code == 0)
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: ppm: residual ")
+            assert err.rstrip().endswith("at iteration 7")
+
     def test_success_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2",
                           "--method", "ppm")
@@ -470,15 +495,16 @@ class TestBlasThreads:
         assert counts and all(c == "1" for c in counts)
 
     def test_cert_csv_matches_a_pinned_run(self, tmp_path):
-        # On two cores, OpenBLAS's own default of two threads moves the last
-        # digits of min_eig from N = 144 on; the CLI's default must not.
+        # The eigenvalue call runs on one OpenBLAS thread whatever the
+        # setting; unpinned, two threads on two cores moved min_eig at N = 235.
         outs = []
-        for name, env in (("default", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        for name, env in (("default", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"}),
+                          ("two", {"OPENBLAS_NUM_THREADS": "2"})):
             out = tmp_path / f"{name}.csv"
             run_fresh("-m", "proxpoint.cli", "--experiment", "cert", "--nmax", "240",
                       "--out", str(out), env=env, check=True)
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
 
 def run_preset_listing_scipy(preset, tmp_path):

@@ -1,3 +1,6 @@
+import contextlib
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,6 +24,7 @@ from proxpoint import (
 )
 from proxpoint import cli, operators, splitting
 from proxpoint.operators import as_vector
+from proxpoint.pep_cert import verify_certificate
 from proxpoint.problems import PRESETS
 from conftest import (FailingEigenLapack, lu_solve_factor, random_monotone_operator,
                       reference_saddle_gap, run_fresh)
@@ -193,6 +197,40 @@ class TestCheckMonotone:
             check_monotone(np.eye(2), mu=-0.5)
 
 
+EIGENVALUE_CHECKS = [
+    lambda: check_monotone(np.eye(3)),
+    lambda: Preconditioner(np.eye(3)),
+    lambda: QuadraticSaddle(np.eye(2), np.ones((1, 2)), np.eye(1)),
+]
+
+
+@pytest.fixture
+def set_threads():
+    """Thread setter of the OpenBLAS behind scipy's LAPACK module."""
+    setter = operators._blas_thread_setter()
+    if setter is None:
+        pytest.skip("scipy's LAPACK is not OpenBLAS here, so there is no "
+                    "thread count to pin or restore")
+    return setter
+
+
+def thread_count(set_threads):
+    """Current count: the setter returns the count it replaces, which is
+    then put back."""
+    count = set_threads(1)
+    set_threads(count)
+    return count
+
+
+@contextlib.contextmanager
+def openblas_threads(set_threads, count):
+    previous = set_threads(count)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 class TestMinEigenvalue:
     @pytest.mark.parametrize("dim", [1, 2, 7, 60])
     def test_matches_eigvalsh(self, dim, rng):
@@ -217,16 +255,73 @@ class TestMinEigenvalue:
         operators._min_eigenvalue(m)
         assert np.array_equal(m, before)
 
-    @pytest.mark.parametrize("check", [
-        lambda: check_monotone(np.eye(3)),
-        lambda: Preconditioner(np.eye(3)),
-        lambda: QuadraticSaddle(np.eye(2), np.ones((1, 2)), np.eye(1)),
-    ])
+    @pytest.mark.parametrize("check", EIGENVALUE_CHECKS)
     def test_lapack_failure_is_an_arithmetic_error(self, check, monkeypatch):
         check()
         monkeypatch.setattr(operators, "_flapack", lambda: FailingEigenLapack(1, 0))
         with pytest.raises(ArithmeticError, match="dsyevr"):
             check()
+
+    @pytest.mark.parametrize("check", EIGENVALUE_CHECKS)
+    def test_thread_count_restored_after_success_and_failure(self, check, set_threads,
+                                                             monkeypatch):
+        # Two threads, not the count the call pins, so a missing restore shows.
+        with openblas_threads(set_threads, 2):
+            check()
+            assert thread_count(set_threads) == 2
+            monkeypatch.setattr(operators, "_flapack", lambda: FailingEigenLapack(1, 0))
+            with pytest.raises(ArithmeticError, match="dsyevr"):
+                check()
+            assert thread_count(set_threads) == 2
+
+    def test_thread_count_restored_when_the_lapack_call_raises(self, set_threads):
+        with openblas_threads(set_threads, 2):
+            # f2py refuses a non-square matrix inside the pinned call, with
+            # an error class private to the extension.
+            with pytest.raises(Exception, match=r"shape\(a,0\)==shape\(a,1\)"):
+                operators._min_eigenvalue(np.ones((2, 3)))
+            assert thread_count(set_threads) == 2
+
+    def test_certificate_eigenvalue_ignores_the_thread_count(self, set_threads):
+        # Unpinned, two threads on a 2-core host move min_eig at N = 235
+        # from -4.18e-16 to -2.88e-16.
+        values = []
+        for count in (2, 1):
+            with openblas_threads(set_threads, count):
+                values.append(verify_certificate(235).min_eigenvalue.hex())
+        assert values[0] == values[1]
+
+    def test_without_the_setter_the_call_runs_unpinned(self, monkeypatch):
+        pinned = verify_certificate(235).min_eigenvalue
+        set_threads = operators._blas_thread_setter()
+        monkeypatch.setattr(operators, "_blas_thread_setter", lambda: None)
+        # At one thread the pin changes nothing, so the result must be the same.
+        with (openblas_threads(set_threads, 1) if set_threads
+              else contextlib.nullcontext()):
+            assert verify_certificate(235).min_eigenvalue == pinned
+
+    def test_concurrent_callers_leave_the_thread_count(self, set_threads, rng):
+        b = rng.normal_matrix(60, 60)
+        m = b + b.T
+        expected = operators._min_eigenvalue(m)
+        results, workers = [], 4
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with openblas_threads(set_threads, 2):
+                def call():
+                    results.extend(operators._min_eigenvalue(m) for _ in range(50))
+
+                threads = [threading.Thread(target=call) for _ in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert thread_count(set_threads) == 2
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [expected] * (50 * workers)
 
 
 class TestFactoredSolve:
