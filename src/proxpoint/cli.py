@@ -280,9 +280,7 @@ def _run_pdhg_experiment(config):
     seed = _param(config, "seed", p["seed"])
     inst = bilinear_game_instance(p["d1"], p["d2"], seed)
     k = inst["K"]
-    # ||K|| exactly, from the K K' that the solve for R reuses below.
-    kkt = k @ k.T
-    norm_k = math.sqrt(np.linalg.eigvalsh(kkt)[-1])
+    norm_k = sp.operator_norm(k)
     tau = _param(config, "tau", p["step_fraction"] / norm_k)
     sigma = _param(config, "sigma", p["step_fraction"] / norm_k)
     f = sp.ProxDescriptor.linear(inst["a"])
@@ -298,7 +296,7 @@ def _run_pdhg_experiment(config):
     # to it drops the null-space part of u0 - u*, leaving du = P(u0 - u*)
     # with P = K'(KK')^-1 K the projection onto range(K').
     k_du = k @ (u0 - inst["u_star"])
-    du = k.T @ np.linalg.solve(kkt, k_du)
+    du = k.T @ np.linalg.solve(k @ k.T, k_du)
     dv = v0 - inst["v_star"]
     radius = math.sqrt(du @ du / tau - 2.0 * (k_du @ dv) + dv @ dv / sigma)
     line, radius = _radius_line(engine, (u0 - du, inst["v_star"]), radius,

@@ -156,7 +156,7 @@ def _extrapolation_error(y, g):
 
 
 def iterate(step, x0, iters, variant="plain", restart=None, R=None,
-            residual_sq=_euclidean_sq, gap=None):
+            residual_sq=_euclidean_sq):
     """The one momentum loop: ``x_{i+1} = step(y_i)`` plus a momentum rule.
 
     ``step`` maps ``y -> x``, for example the resolvent ``J`` of ``lam*M``.
@@ -168,8 +168,7 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None,
     value raises ``ValueError``. The bound column is filled when ``R``, a
     bound on the distance from ``x0`` to a fixed point, is known, the
     variant has a rate (``plain`` or ``proposed``) and no restart can
-    fire. ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)`` and
-    ``gap``, when given, scores each new iterate into ``gaps``.
+    fire. ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)``.
 
     The trace is stored in arrays allocated once per run, one row per
     iteration, so a step must return a vector of the start's shape; any
@@ -211,7 +210,6 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None,
     xs[0] = x0
     ys = np.empty((iters, x0.size))
     residuals = np.empty(iters)
-    gaps = None if gap is None else np.empty(iters)
     restarts = []
     since_restart = 0
     prev_res = math.inf
@@ -236,8 +234,6 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None,
             ys[g - 1] = y
             xs[g] = x_new
             residuals[g - 1] = res
-            if gap is not None:
-                gaps[g - 1] = gap(x_new)
             if g == iters:
                 break
             since_restart += 1
@@ -260,7 +256,7 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None,
         # Python ints, not numpy scalars: the same floats, about 8x faster.
         bounds = np.fromiter((rate(R, i) for i in range(1, iters + 1)), float, iters)
     return ResidualTrace(np.arange(1, iters + 1), residuals, bounds, xs, ys, restarts,
-                         gaps=gaps, iterates={"x": xs, "y": ys})
+                         iterates={"x": xs, "y": ys})
 
 
 def ppm_rate_bound(R, i):

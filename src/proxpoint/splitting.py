@@ -11,6 +11,7 @@ fixed-point residuals (preconditioned for PDHG), constraint
 infeasibility for ADMM, and saddle gaps when a saddle point is supplied.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,33 +55,15 @@ def difference_matrix(d1):
     return d
 
 
-def operator_norm(k, tol=1e-10, max_iters=1000):
-    """Largest singular value of ``k`` by power iteration on ``k'k``.
-
-    Deterministic start vector; stops at relative change ``tol`` or after
-    ``max_iters`` sweeps, returning the current estimate either way.
-    """
+def operator_norm(k):
+    """Largest singular value of ``k``: the square root of the largest
+    eigenvalue of the smaller Gram matrix, ``k k'`` for a wide or square
+    ``k`` and ``k'k`` for a tall one. Empty input gives 0.0."""
     k = np.asarray(k, dtype=float)
-    if k.size == 0 or not np.any(k):
+    if k.size == 0:
         return 0.0
-    # Dense deterministic start; sin(1..n) is never structured enough to
-    # be orthogonal to the leading singular subspace in practice.
-    v = np.sin(np.arange(1, k.shape[1] + 1, dtype=float))
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iters):
-        w = k.T @ (k @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            v = np.cos(np.arange(1, k.shape[1] + 1, dtype=float))
-            v /= np.linalg.norm(v)
-            continue
-        new_estimate = np.sqrt(norm_w)
-        v = w / norm_w
-        if abs(new_estimate - estimate) <= tol * new_estimate:
-            return float(new_estimate)
-        estimate = new_estimate
-    return float(estimate)
+    gram = k @ k.T if k.shape[0] <= k.shape[1] else k.T @ k
+    return math.sqrt(np.linalg.eigvalsh(gram)[-1])
 
 
 @dataclass
@@ -296,8 +279,10 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
 
     resolvent = saddle_resolvent_map(phi, lam)
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
-    gap = None if saddle is None else phi.gap_scorer(*saddle)
-    return iterate(resolvent, x0, iters, variant, restart, R, gap=gap)
+    trace = iterate(resolvent, x0, iters, variant, restart, R)
+    if saddle is not None:
+        trace.gaps = np.fromiter(map(phi.gap_scorer(*saddle), trace.xs[1:]), float, iters)
+    return trace
 
 
 def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
@@ -356,7 +341,7 @@ def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed", restart=None,
 
     Requires ``tau * sigma * ||K||^2 < 1``, which makes the underlying
     preconditioner positive definite; ``||K||`` is ``norm_k`` when given
-    and is otherwise found by power iteration. Residuals are measured in
+    and is otherwise :func:`operator_norm`. Residuals are measured in
     the preconditioned norm
     ``<P d, d> = ||du||^2/tau - 2 <K du, dv> + ||dv||^2/sigma``.
     ``R``, when given, is the preconditioned initial distance.

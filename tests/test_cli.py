@@ -427,10 +427,10 @@ class TestFig4Norm:
         assert float(fields["tau"]) == 0.99 / exact_norm(k)
 
     @pytest.mark.parametrize("preset", ["fig4-desk", "fig4"])
-    def test_power_iteration_agrees_with_exact_norm(self, preset):
+    def test_operator_norm_equals_exact_norm(self, preset):
         p = PRESETS[preset]
         k = proxpoint.bilinear_game_instance(p["d1"], p["d2"], p["seed"])["K"]
-        assert proxpoint.operator_norm(k) == pytest.approx(exact_norm(k), rel=1e-8)
+        assert proxpoint.operator_norm(k) == exact_norm(k)
 
 
 # Prints each loaded OpenBLAS's own thread count after running a preset

@@ -18,6 +18,14 @@ largest magnitude for the same method (the late, tiny residuals). Header
 numbers get the same floor times ``max(1, R)``. Integers, labels and
 restart lists must match exactly. Whether the bytes match is reported
 (a warning and the ``bytes_identical`` property), not asserted.
+
+The certificate CSV has its own rule. ``N`` and ``dual_value`` (``1/N^2``)
+must match exactly. ``deviation`` and ``min_eig`` are rounding-level
+numbers, zero in exact arithmetic, so a relative tolerance means nothing
+for them: they are compared to the absolute ``CERT_ATOL = 1e-13``. That is
+above ``N * eps`` for ``N <= 60`` and below the certificate's own gates
+(1e-12 on the deviation, 1e-10 on the eigenvalue), so a certificate that
+moved toward failing is caught before it fails.
 """
 
 import math
@@ -31,13 +39,17 @@ from proxpoint import cli
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RTOL = 1e-9
 FLOOR = 1e-10
+CERT_ATOL = 1e-13
 
 # golden file -> CLI arguments. At the preset's 100 iterations no adaptive
 # restart fires on fig5-desk, so that run takes 200 (restarts 170, 178, 199).
 GOLDEN = {
     "fig1.csv": ["--experiment", "fig1"],
     "fig2.csv": ["--experiment", "fig2"],
+    "fig3-desk.csv": ["--experiment", "fig3-desk"],
+    "fig4-desk.csv": ["--experiment", "fig4-desk"],
     "fig5-desk.csv": ["--experiment", "fig5-desk"],
+    "cert-nmax60.csv": ["--experiment", "cert", "--nmax", "60"],
     "fig2.restarted-adaptive.csv": ["--experiment", "fig2", "--method", "restarted",
                                     "--restart", "adaptive"],
     "fig5-desk.restarted-adaptive.csv": ["--experiment", "fig5-desk", "--method",
@@ -96,12 +108,24 @@ def assert_csv_matches(got_text, want_text):
             assert _close(got[j], want[j], floor), (want_cols[j], want[:3], got[j], want[j])
 
 
+def assert_cert_matches(got_text, want_text):
+    got, want = got_text.splitlines(), want_text.splitlines()
+    assert got[:2] == want[:2] and len(got) == len(want)
+    for got_row, want_row in zip(got[2:], want[2:]):
+        n, deviation, min_eig, dual_value = got_row.split(",")
+        want_n, want_deviation, want_min_eig, want_dual_value = want_row.split(",")
+        assert (n, dual_value) == (want_n, want_dual_value), (got_row, want_row)
+        for g, w in ((deviation, want_deviation), (min_eig, want_min_eig)):
+            assert abs(float(g) - float(w)) <= CERT_ATOL, (got_row, want_row)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_reproduces_the_golden_csv(name, tmp_path, record_property):
     out = tmp_path / name
     assert cli.main(GOLDEN[name] + ["--out", str(out)]) == 0
     golden = (GOLDEN_DIR / name).read_bytes()
-    assert_csv_matches(out.read_text(), golden.decode())
+    compare = assert_cert_matches if name.startswith("cert") else assert_csv_matches
+    compare(out.read_text(), golden.decode())
     identical = out.read_bytes() == golden
     record_property("bytes_identical", identical)
     if not identical:
@@ -123,3 +147,14 @@ def test_a_moved_value_fails_the_comparison():
     shifted[restarts] = shifted[restarts].replace("=33,", "=34,")
     with pytest.raises(AssertionError):
         assert_csv_matches("\n".join(shifted), text)
+
+
+def test_a_moved_certificate_value_fails_the_comparison():
+    text = (GOLDEN_DIR / "cert-nmax60.csv").read_text()
+    lines = text.splitlines()
+    n, deviation, min_eig, dual_value = lines[20].split(",")
+    for moved in ([n, deviation, repr(float(min_eig) - 2 * CERT_ATOL), dual_value],
+                  [n, repr(float(deviation) + 2 * CERT_ATOL), min_eig, dual_value],
+                  [n, deviation, min_eig, repr(float(dual_value) * (1.0 + 1e-15))]):
+        with pytest.raises(AssertionError):
+            assert_cert_matches("\n".join(lines[:20] + [",".join(moved)] + lines[21:]), text)

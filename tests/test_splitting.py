@@ -34,6 +34,7 @@ from proxpoint import (
 )
 from proxpoint import SplitMix64, splitting
 from proxpoint.methods import Momentum, iterate
+from proxpoint.problems import PRESETS
 from conftest import (
     lu_solve_factor,
     random_monotone_operator,
@@ -73,6 +74,14 @@ class TestDifferenceMatrix:
         assert np.all(d.sum(axis=1) == 0.0)
 
 
+def _preset_matrix(preset):
+    """fig3's constraint matrix ``A`` or fig4's coupling ``K`` at the preset."""
+    p = PRESETS[preset]
+    if preset.startswith("fig3"):
+        return basis_pursuit_instance(p["d1"], p["d2"], p["seed"])["A"]
+    return bilinear_game_instance(p["d1"], p["d2"], p["seed"])["K"]
+
+
 class TestOperatorNorm:
     def test_matches_svd(self, rng):
         k = rng.normal_matrix(12, 7)
@@ -81,6 +90,24 @@ class TestOperatorNorm:
 
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 4))) == 0.0
+
+    # Exact to rounding: the top singular value from SVD, on the shapes the
+    # library meets. Difference matrices have close top singular values, on
+    # which an iteration that stops on a small change stops short.
+    @pytest.mark.parametrize("k", [
+        *(pytest.param(difference_matrix(d1), id=f"difference_matrix({d1})")
+          for d1 in (10, 40, 100, 400)),
+        pytest.param(SplitMix64(60).normal_matrix(60, 40), id="tall 60x40"),
+        *(pytest.param(_preset_matrix(preset), id=preset)
+          for preset in ("fig3", "fig3-desk", "fig4", "fig4-desk")),
+    ])
+    def test_equals_the_top_singular_value(self, k):
+        top = np.linalg.svd(k, compute_uv=False)[0]
+        assert operator_norm(k) == pytest.approx(top, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (0, 3), (3, 0)], ids=["4x3", "0x3", "3x0"])
+    def test_zero_and_empty_give_zero(self, shape):
+        assert operator_norm(np.zeros(shape)) == 0.0
 
 
 class TestFista:
@@ -272,6 +299,18 @@ class TestPDHG:
         g = ProxDescriptor.zero(1)
         with pytest.raises(ValueError):
             pdhg(f, g, np.array([[2.0]]), 1.0, 1.0, [0.0], [0.0], 2)
+
+    def test_steps_the_preconditioner_rejects_are_refused(self):
+        # tau*sigma*||D||^2 = 1.0002^2 on fig5-desk's D, just outside the
+        # step condition; an estimate of ||D|| that reads 5.4e-4 low, as a
+        # power iteration stopped on a 1e-10 change does, would accept it.
+        d = difference_matrix(40)
+        tau = sigma = 1.0002 / np.linalg.svd(d, compute_uv=False)[0]
+        with pytest.raises(ValueError, match="positive definite"):
+            pdhg_preconditioner(d, tau, sigma)
+        with pytest.raises(ValueError, match="tau\\*sigma"):
+            pdhg(ProxDescriptor.zero(40), ProxDescriptor.zero(39), d, tau, sigma,
+                 np.zeros(40), np.zeros(39), 2)
 
     def test_supplied_norm_is_checked(self):
         f = ProxDescriptor.zero(1)
