@@ -215,6 +215,20 @@ def _trace_rows(experiment, label, trace):
     return rows
 
 
+def _run_method(experiment, engine, start, iters, radius, label, variant, restart):
+    """Run one method, check its bound column and format its output: returns
+    its ``# restarts[...]`` line (``None`` without restarts) and its CSV rows.
+
+    The trace lives only in this frame, so a figure run holds one method's
+    trace at a time.
+    """
+    trace = engine(start, iters, variant, restart, radius)
+    _check_bounds(label, trace)
+    restarts = (f"# restarts[{label}]={','.join(map(str, trace.restarts))}"
+                if trace.restarts else None)
+    return restarts, [",".join(row) for row in _trace_rows(experiment, label, trace)]
+
+
 # Each runner returns (meta, engine, start, R): the header lines, the method
 # as engine(start, iters, variant, restart, R), its start blocks
 # as a tuple, and the R to bound by (None when the reference check fails).
@@ -362,27 +376,25 @@ def run_experiment(config):
     """Run one experiment and write its CSV to ``config.out``.
 
     Figure experiments run their methods one after another, in the
-    configured method order, and write the buffered rows at the end.
+    configured method order. Each method's bound column is checked and its
+    rows formatted right after it runs, so only one trace is alive at a
+    time; the CSV is written once every method has passed, and a failing
+    method leaves no file.
     """
     if config.experiment == "cert":
         lines = _run_cert(config)
     else:
         tasks = _expand_methods(config)
         meta, engine, start, radius = _RUNNERS[config.experiment.split("-")[0]](config)
-        labels = [t[0] for t in tasks]
-        traces = [engine(start, config.iters, variant, restart, radius)
-                  for _, variant, restart in tasks]
-        for label, trace in zip(labels, traces):
-            _check_bounds(label, trace)
-        lines = [f"# experiment={config.experiment} methods={'|'.join(labels)}"]
+        results = [_run_method(config.experiment, engine, start, config.iters, radius,
+                               *task) for task in tasks]
+        lines = [f"# experiment={config.experiment}"
+                 f" methods={'|'.join(label for label, _, _ in tasks)}"]
         lines += meta
-        for label, trace in zip(labels, traces):
-            if trace.restarts:
-                lines.append(f"# restarts[{label}]={','.join(map(str, trace.restarts))}")
+        lines += [restarts for restarts, _ in results if restarts]
         lines.append("experiment,method,iteration,residual,bound,infeasibility,gap")
-        for label, trace in zip(labels, traces):
-            lines += [",".join(row)
-                      for row in _trace_rows(config.experiment, label, trace)]
+        for _, rows in results:
+            lines += rows
     with open(config.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -27,6 +27,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO_UNIT = 2.0 ** -53
+# Word pairs per block of SplitMix64.normals: 2^15 pairs keep its
+# temporaries near 3 MB whatever the draw.
+_NORMAL_BLOCK = 1 << 15
 
 
 class SplitMix64:
@@ -57,16 +60,25 @@ class SplitMix64:
         return (self.integers(n) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
     def normals(self, n):
-        """``n`` standard normals via Box-Muller on consecutive word pairs."""
+        """``n`` standard normals via Box-Muller on consecutive word pairs.
+
+        The values are Box-Muller applied to ``integers(2 * ((n + 1) // 2))``,
+        the second normal of the last pair dropped when ``n`` is odd. The
+        pairs are drawn and transformed in blocks of ``_NORMAL_BLOCK``,
+        straight into the output, so the temporaries stay at block size;
+        the blocks change no value and no word of the stream.
+        """
         pairs = (n + 1) // 2
-        bits = self.integers(2 * pairs)
-        u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TO_UNIT
-        u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
         out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        for lo in range(0, pairs, _NORMAL_BLOCK):
+            hi = min(lo + _NORMAL_BLOCK, pairs)
+            bits = self.integers(2 * (hi - lo))
+            u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TO_UNIT
+            u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+            radius = np.sqrt(-2.0 * np.log(u1))
+            angle = 2.0 * np.pi * u2
+            out[2 * lo:2 * hi:2] = radius * np.cos(angle)
+            out[2 * lo + 1:2 * hi:2] = radius * np.sin(angle)
         return out[:n]
 
     def normal_matrix(self, rows, cols):

@@ -411,7 +411,7 @@ def _admm_x_solver(f, constraint, rho, inner):
         # either sign, rather than an exact zero.
         if eigs[0] <= ata.shape[0] * np.finfo(float).eps * eigs[-1]:
             raise ValueError("l1 x-subproblem needs A'A positive definite")
-        return rho * float(eigs[0]), rho * operator_norm(a) ** 2
+        return rho * float(eigs[0]), rho * float(eigs[-1])
 
     solve = _subproblem(f, rho * ata, inner, np.zeros(a.shape[1]), spectrum)
     return lambda nu_hat, z: solve(

@@ -363,10 +363,11 @@ def reference_admm_x_solver(f, constraint, rho, inner):
 
         return solve
     if f.kind == "l1":
-        m = rho * float(np.linalg.eigvalsh(ata)[0])
+        eigs = np.linalg.eigvalsh(ata)
+        m = rho * float(eigs[0])
         if m <= 0:
             raise ValueError("l1 x-subproblem needs A'A positive definite")
-        big_l = rho * operator_norm(a) ** 2
+        big_l = rho * float(eigs[-1])
         smooth_q = rho * ata
         state = {"warm": np.zeros(a.shape[1])}
 

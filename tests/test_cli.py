@@ -1,11 +1,12 @@
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 import proxpoint
-from proxpoint import cli, operators
+from proxpoint import cli, operators, splitting
 from conftest import FailingEigenLapack, reference_figure_csv, run_fresh
 from proxpoint.problems import PRESETS
 
@@ -380,10 +381,56 @@ class TestExitCodes:
             assert err.startswith("numerical failure: ppm: residual ")
             assert err.rstrip().endswith("at iteration 7")
 
+    def test_first_failing_method_is_named(self, tmp_path, monkeypatch, capsys):
+        # Both methods break their bounds; the run stops at accel, the
+        # first of them in method order, and writes no CSV.
+        real = cli._RUNNERS["fig1"]
+
+        def runner(config):
+            meta, engine, start, radius = real(config)
+
+            def violating(start, iters, variant, restart, R):
+                trace = engine(start, iters, variant, restart, R)
+                trace.residuals[3] = trace.bounds[3] * 2.0
+                return trace
+
+            return meta, violating, start, radius
+
+        monkeypatch.setitem(cli._RUNNERS, "fig1", runner)
+        code, out = run_cli(tmp_path, "--experiment", "fig1", "--iters", "10",
+                            "--method", "accel", "--method", "ppm")
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: accel: residual ")
+        assert err.rstrip().endswith("at iteration 4")
+
     def test_success_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2",
                           "--method", "ppm")
         assert code == 0
+
+
+class TestTraceLifetime:
+    @pytest.mark.parametrize("preset,module,name,calls", [
+        ("fig1", cli, "iterate", 3),
+        # The reference check's one-step run, then ppm, accel and restart@20.
+        ("fig5-desk", splitting, "admm", 4),
+    ])
+    def test_run_holds_one_trace_at_a_time(self, tmp_path, monkeypatch, preset,
+                                           module, name, calls):
+        real, refs = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in refs), "an earlier trace is alive"
+            trace = real(*args, **kwargs)
+            refs.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(module, name, spy)
+        code, _ = run_cli(tmp_path, "--experiment", preset)
+        assert code == 0
+        assert len(refs) == calls
 
 
 class TestImports:

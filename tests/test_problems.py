@@ -90,6 +90,25 @@ class TestSplitMix64:
         u = SplitMix64(5).uniforms(10_000)
         assert np.all((0.0 <= u) & (u < 1.0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    def test_block_generated_normals_keep_the_stream(self, seed):
+        # normals(n) is Box-Muller on integers(2 * ((n + 1) // 2)) in one
+        # piece, whatever block size it draws in; sizes at and around the
+        # block boundary, and the next draw, pin values and state advance.
+        b = problems._NORMAL_BLOCK
+        for n in (1, 2 * b - 1, 2 * b, 2 * b + 1, 4 * b + 3):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            bits = ref.integers(2 * ((n + 1) // 2))
+            u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+            u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+            radius = np.sqrt(-2.0 * np.log(u1))
+            angle = 2.0 * np.pi * u2
+            want = np.empty(bits.size)
+            want[0::2] = radius * np.cos(angle)
+            want[1::2] = radius * np.sin(angle)
+            assert np.array_equal(rng.normals(n), want[:n])
+            assert np.array_equal(rng.normals(5), ref.normals(5))
+
 
 class TestOperators:
     def test_rotation_n2(self):

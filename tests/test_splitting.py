@@ -830,6 +830,21 @@ class TestSubproblemRule:
             splitting._admm_x_solver(f, AffineConstraint(tall, -np.eye(5), np.zeros(5)),
                                      0.7, inner)
 
+    def test_l1_x_spectrum_takes_one_eigendecomposition(self, monkeypatch):
+        # (m, L) both come from the one eigvalsh of A'A.
+        real, calls = np.linalg.eigvalsh, []
+
+        def spy(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        a_mat = SplitMix64(4).normal_matrix(8, 5)
+        cons = AffineConstraint(a_mat, -np.eye(8), np.zeros(8))
+        admm(ProxDescriptor.l1(5, 1.0), ProxDescriptor.zero(8), cons, 0.7,
+             np.zeros(5), np.zeros(8), np.zeros(8), 1)
+        assert calls == [(5, 5)]
+
     def test_unknown_kind_rejected_by_both_engines(self):
         huber = SimpleNamespace(kind="huber", dim=3)
         zero = ProxDescriptor.zero(3)
