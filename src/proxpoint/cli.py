@@ -110,9 +110,11 @@ class RunConfig:
             allowed = DEFAULT_METHODS[base]
             if not self.methods:
                 self.methods = list(allowed)
-            for m in self.methods:
+            for i, m in enumerate(self.methods):
                 if m not in METHOD_NAMES:
                     raise ConfigError(f"unknown method {m!r}")
+                if m in self.methods[:i]:
+                    raise ConfigError(f"--method {m} is given more than once")
                 if base == "fig5" and m.startswith("guler"):
                     raise ConfigError(
                         "guler variants are not defined for the ADMM experiment")
@@ -127,7 +129,8 @@ class RunConfig:
             value = getattr(self, name)
             if name not in reads and value is not None:
                 raise ConfigError(
-                    f"{_flag(name)} is not read by the {self.experiment} experiment")
+                    "--restart is read only by the restarted method" if name == "restart"
+                    else f"{_flag(name)} is not read by the {self.experiment} experiment")
         if self.experiment == "cert":
             if self.nmax is None:
                 self.nmax = 60

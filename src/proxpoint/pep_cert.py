@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .methods import StepCoeffs, accelerated_ppm, general_ppm
+from .methods import StepCoeffs, general_ppm, iterate
 from .operators import _min_eigenvalue
 
 __all__ = [
@@ -292,7 +292,7 @@ def equivalence_check(resolvent, n, x0):
     """Largest coordinate gap between the general method under ``build_h``
     and the accelerated method, over all iterates of an ``n``-step run."""
     trace_g = general_ppm(resolvent, build_h(n), x0, n)
-    trace_a = accelerated_ppm(resolvent, x0, n)
+    trace_a = iterate(resolvent, x0, n, "proposed")
     dev_x = np.max(np.abs(trace_g.xs - trace_a.xs))
     dev_y = np.max(np.abs(trace_g.ys - trace_a.ys))
     return float(max(dev_x, dev_y))

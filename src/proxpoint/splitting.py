@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import iterate
-from .operators import InnerSolverError, _factor, as_vector
+from .operators import (InnerSolverError, Preconditioner, _factor, as_vector,
+                        saddle_resolvent_map)
 
 __all__ = [
     "InnerSolverConfig",
@@ -275,8 +276,6 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     R : float, optional
         Known initial distance to a saddle; fills the bound column.
     """
-    from .operators import saddle_resolvent_map
-
     resolvent = saddle_resolvent_map(phi, lam)
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
     trace = iterate(resolvent, x0, iters, variant, restart, R)
@@ -326,8 +325,6 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
 def pdhg_preconditioner(k, tau, sigma):
     """PDHG preconditioner ``[[I/tau, -K'], [-K, I/sigma]]`` as a
     Preconditioner (positive definite when ``tau sigma ||K||^2 < 1``)."""
-    from .operators import Preconditioner
-
     k = np.asarray(k, dtype=float)
     d2, d1 = k.shape
     top = np.hstack([np.eye(d1) / tau, -k.T])

@@ -7,7 +7,7 @@ import pytest
 
 import proxpoint
 from proxpoint import cli, operators, splitting
-from conftest import FailingEigenLapack, reference_figure_csv, run_fresh
+from conftest import FailingEigenLapack, run_fresh
 from proxpoint.problems import PRESETS
 
 
@@ -114,6 +114,25 @@ class TestConfigValidation:
             "error: --lambda must be a positive finite number",
             "error: --lambda is not read by the fig4-desk experiment"]
 
+    @pytest.mark.parametrize("args", [
+        ("fig1", "--method", "ppm", "--method", "ppm", "--iters", "3"),
+        ("fig2", "--method", "restarted", "--method", "restarted"),
+        ("fig3-desk", "--method", "accel", "--method", "ppm", "--method", "accel"),
+    ])
+    def test_repeated_method_is_config_error(self, tmp_path, capsys, args):
+        code, out = run_cli(tmp_path, "--experiment", *args)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --method {args[2]} is given more than once"]
+
+    @pytest.mark.parametrize("args", [("fig1",), ("fig3-desk", "--method", "accel"),
+                                      ("cert",)])
+    def test_restart_error_names_the_restarted_method(self, tmp_path, capsys, args):
+        assert run_cli(tmp_path, "--experiment", *args, "--restart", "7")[0] == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --restart is read only by the restarted method"]
+
 
 class TestFigureRuns:
     def test_fig1_columns_and_bounds(self, tmp_path):
@@ -177,24 +196,6 @@ class TestFigureRuns:
         data = first.read_bytes()
         _, second = run_cli(tmp_path, "--experiment", "fig3-desk", "--iters", "20")
         assert second.read_bytes() == data
-
-
-_DRIVER_CASES = [(experiment, *methods)
-                 for experiment in ("fig1", "fig2", "fig3-desk", "fig4-desk", "fig5-desk")
-                 for methods in [(), ("--method", "guler1", "--method", "guler2"),
-                                 ("--method", "restarted", "--restart", "7"),
-                                 ("--method", "ppm", "--method", "restarted",
-                                  "--restart", "adaptive")]
-                 if not (experiment == "fig5-desk" and "guler1" in methods)]
-
-
-class TestOneDriver:
-    @pytest.mark.parametrize("args", _DRIVER_CASES, ids=" ".join)
-    def test_csv_matches_the_per_figure_runners(self, tmp_path, args):
-        out = tmp_path / "run.csv"
-        config = cli.parse_config(["--experiment", *args, "--out", str(out)])
-        cli.run_experiment(config)
-        assert out.read_bytes() == reference_figure_csv(config)
 
 
 def header_fields(path, prefix="# R="):

@@ -55,6 +55,22 @@ GOLDEN = {
     "fig5-desk.restarted-adaptive.csv": ["--experiment", "fig5-desk", "--method",
                                          "restarted", "--restart", "adaptive",
                                          "--iters", "200"],
+    # The Guler variants and a fixed restart interval on every figure that
+    # defines them (fig5 has no Guler variant), and adaptive restarts on
+    # fig1 and the fig3/fig4 desks. At fig3-desk's preset 60 iterations no
+    # adaptive restart fires; at 200 the first fires at 180.
+    **{f"{p}.guler-restarted-7.csv": ["--experiment", p, "--method", "guler1", "--method",
+                                      "guler2", "--method", "restarted", "--restart", "7"]
+       for p in ("fig1", "fig2", "fig3-desk", "fig4-desk")},
+    "fig5-desk.restarted-7.csv": ["--experiment", "fig5-desk", "--method", "restarted",
+                                  "--restart", "7"],
+    "fig1.restarted-adaptive.csv": ["--experiment", "fig1", "--method", "restarted",
+                                    "--restart", "adaptive"],
+    "fig4-desk.restarted-adaptive.csv": ["--experiment", "fig4-desk", "--method",
+                                         "restarted", "--restart", "adaptive"],
+    "fig3-desk.restarted-adaptive.csv": ["--experiment", "fig3-desk", "--method",
+                                         "restarted", "--restart", "adaptive",
+                                         "--iters", "200"],
 }
 
 
@@ -131,6 +147,16 @@ def test_cli_reproduces_the_golden_csv(name, tmp_path, record_property):
     if not identical:
         warnings.warn(f"{name}: every value is within tolerance of its golden "
                       "copy, but the bytes differ", stacklevel=1)
+
+
+def test_every_golden_file_has_an_entry_and_every_entry_a_file():
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == set(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN if "restarted" in GOLDEN[n]))
+def test_restarted_golden_files_record_restarts(name):
+    lines = (GOLDEN_DIR / name).read_text().splitlines()
+    assert any(ln.startswith("# restarts[") for ln in lines)
 
 
 def test_a_moved_value_fails_the_comparison():

@@ -13,7 +13,6 @@ from proxpoint import (
     StepCoeffs,
     accelerated_ppm,
     accelerated_saddle_ppm,
-    build_h,
     drs,
     forward_method,
     general_ppm,
@@ -32,7 +31,7 @@ from proxpoint import (
 from proxpoint import splitting
 from proxpoint.methods import (_euclidean_sq, accelerated_rate_bound, iterate,
                                ppm_rate_bound)
-from conftest import random_monotone_operator, reference_general_ppm, reference_iterate
+from conftest import random_monotone_operator, reference_iterate
 
 START = np.array([1.0, 0.0])
 
@@ -110,16 +109,6 @@ class TestGeneralPPM:
     def test_iters_beyond_horizon_rejected(self):
         with pytest.raises(ValueError):
             general_ppm(lambda y: y, StepCoeffs.ppm(3), [0.0], 4)
-
-    @pytest.mark.parametrize("dim, iters", [(1, 1), (2, 60), (8, 120), (33, 40)])
-    def test_matches_list_history(self, rng, dim, iters):
-        resolvent = linear_resolvent(random_monotone_operator(rng, dim), 0.7)
-        y0 = rng.normals(dim)
-        coeffs = build_h(iters + 1)
-        got = general_ppm(resolvent, coeffs, y0, iters)
-        ref = reference_general_ppm(resolvent, coeffs, y0, iters)
-        for field in ("xs", "ys", "residuals"):
-            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
 
     def test_step_coeff_validation(self):
         table = np.zeros((2, 2))
