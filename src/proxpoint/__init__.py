@@ -47,12 +47,10 @@ _EXPORTS = {
     ),
     "splitting": (
         "AffineConstraint",
-        "InnerSolverConfig",
         "ProxDescriptor",
         "accelerated_prox_multipliers",
         "accelerated_saddle_ppm",
         "admm",
-        "difference_matrix",
         "drs",
         "fista_strongly_convex",
         "operator_norm",
@@ -65,6 +63,7 @@ _EXPORTS = {
         "basis_pursuit_instance",
         "basis_pursuit_solution",
         "bilinear_game_instance",
+        "difference_matrix",
         "rotation_worst_case",
         "strongly_monotone_toy",
         "toy_saddle",

@@ -18,6 +18,7 @@ core count, on one machine and BLAS build.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -183,7 +184,7 @@ def _radius_line(engine, reference, radius, source):
     The check is the root of the engine's own residual after one plain step
     from the reference point: zero, up to rounding, at a true fixed point.
     """
-    check = math.sqrt(engine(reference, 1).residuals[0])
+    check = math.sqrt(engine(*reference, 1, "plain").residuals[0])
     line = f"# R={_fmt(radius)} R_source={source} fixed_point_check={_fmt(check)}"
     if check <= FIXED_POINT_TOL * max(1.0, radius):
         return line, radius
@@ -225,16 +226,17 @@ def _run_method(experiment, engine, start, iters, radius, label, variant, restar
     The trace lives only in this frame, so a figure run holds one method's
     trace at a time.
     """
-    trace = engine(start, iters, variant, restart, radius)
+    trace = engine(*start, iters, variant, restart, radius)
     _check_bounds(label, trace)
     restarts = (f"# restarts[{label}]={','.join(map(str, trace.restarts))}"
                 if trace.restarts else None)
     return restarts, [",".join(row) for row in _trace_rows(experiment, label, trace)]
 
 
-# Each runner returns (meta, engine, start, R): the header lines, the method
-# as engine(start, iters, variant, restart, R), its start blocks
-# as a tuple, and the R to bound by (None when the reference check fails).
+# Each runner returns (meta, engine, start, R): the header lines, the library
+# engine with the figure's problem bound by functools.partial, so that it
+# runs as engine(*start, iters, variant, restart, R), its start blocks as a
+# tuple, and the R to bound by (None when the reference check fails).
 
 def _run_operator_experiment(config):
     """fig1: worst-case rotation; methods act through a shared resolvent."""
@@ -243,11 +245,7 @@ def _run_operator_experiment(config):
     resolvent = linear_resolvent(rotation_worst_case(n, lam), lam)
     meta = [f"# problem=rotation n={n} lam={_fmt(lam)} iters={config.iters}"
             f" x0=[1,0] R=1 R_source=exact"]
-
-    def engine(start, iters, variant, restart, R):
-        return iterate(resolvent, *start, iters, variant, restart, R)
-
-    return meta, engine, (np.array([1.0, 0.0]),), 1.0
+    return meta, functools.partial(iterate, resolvent), (np.array([1.0, 0.0]),), 1.0
 
 
 def _run_saddle_experiment(config):
@@ -256,15 +254,10 @@ def _run_saddle_experiment(config):
     n = config.preset["n"]
     lam = _param(config, "lam", config.preset["lam"])
     mu = _param(config, "mu", config.preset["mu"])
-    phi = toy_saddle(n, lam, mu)
-    saddle = (np.zeros(1), np.zeros(1))
+    engine = functools.partial(sp.accelerated_saddle_ppm, toy_saddle(n, lam, mu), lam,
+                               saddle=(np.zeros(1), np.zeros(1)))
     meta = [f"# problem=strongly_monotone_toy n={n} lam={_fmt(lam)} mu={_fmt(mu)}"
             f" iters={config.iters} x0=[1,0] R=1 R_source=exact"]
-
-    def engine(start, iters, variant, restart, R):
-        return sp.accelerated_saddle_ppm(phi, lam, *start, iters, variant, restart,
-                                         saddle=saddle, R=R)
-
     return meta, engine, (np.array([1.0]), np.array([0.0])), 1.0
 
 
@@ -274,14 +267,10 @@ def _run_prox_mult_experiment(config):
     seed = _param(config, "seed", p["seed"])
     lam = _param(config, "lam", p["lam"])
     inst = basis_pursuit_instance(p["d1"], p["d2"], seed)
-    f = sp.ProxDescriptor.l1(p["d1"], 1.0)
+    engine = functools.partial(sp.accelerated_prox_multipliers,
+                               sp.ProxDescriptor.l1(p["d1"], 1.0), inst["A"], inst["b"],
+                               lam)
     u0, v0 = np.zeros(p["d1"]), np.zeros(p["d2"])
-
-    def engine(start, iters, variant="plain", restart=None, R=None):
-        return sp.accelerated_prox_multipliers(
-            f, inst["A"], inst["b"], lam, *start, iters, variant=variant,
-            restart=restart, R=R)
-
     u_star, v_star = basis_pursuit_solution(inst["A"], inst["b"])
     radius = float(np.linalg.norm(np.concatenate([u0 - u_star, v0 - v_star])))
     line, radius = _radius_line(engine, (u_star, v_star), radius,
@@ -300,14 +289,11 @@ def _run_pdhg_experiment(config):
     norm_k = sp.operator_norm(k)
     tau = _param(config, "tau", p["step_fraction"] / norm_k)
     sigma = _param(config, "sigma", p["step_fraction"] / norm_k)
-    f = sp.ProxDescriptor.linear(inst["a"])
-    g = sp.ProxDescriptor.linear(inst["b"])
+    engine = functools.partial(sp.pdhg, sp.ProxDescriptor.linear(inst["a"]),
+                               sp.ProxDescriptor.linear(inst["b"]), k, tau, sigma,
+                               norm_k=norm_k)
     u0 = np.full(p["d1"], 10.0)
     v0 = np.full(p["d2"], 10.0)
-
-    def engine(start, iters, variant="plain", restart=None, R=None):
-        return sp.pdhg(f, g, k, tau, sigma, *start, iters, variant, restart, R,
-                       norm_k=norm_k)
 
     # The saddle set is (u* + null K) x {v*}. The preconditioned distance
     # to it drops the null-space part of u0 - u*, leaving du = P(u0 - u*)
@@ -332,13 +318,10 @@ def _run_admm_experiment(config):
     rho = _param(config, "rho", p["rho"])
     inst = tv_instance(p["d1"], p["p"], seed, p["noise_scale"])
     d2 = p["d1"] - 1
-    f = sp.ProxDescriptor.quadratic(inst["H"], inst["b"])
-    g = sp.ProxDescriptor.l1(d2, gamma)
     cons = sp.AffineConstraint(inst["D"], -np.eye(d2), np.zeros(d2))
+    engine = functools.partial(sp.admm, sp.ProxDescriptor.quadratic(inst["H"], inst["b"]),
+                               sp.ProxDescriptor.l1(d2, gamma), cons, rho)
     x0, z0, nu0 = np.zeros(p["d1"]), np.zeros(d2), np.zeros(d2)
-
-    def engine(start, iters, variant="plain", restart=None, R=None):
-        return sp.admm(f, g, cons, rho, *start, iters, variant, restart, R)
 
     # R is the distance from the start to the dual Douglas-Rachford fixed
     # point nu* + rho (A x* - c) that ADMM's iterates converge to.
@@ -382,7 +365,8 @@ def run_experiment(config):
     configured method order. Each method's bound column is checked and its
     rows formatted right after it runs, so only one trace is alive at a
     time; the CSV is written once every method has passed, and a failing
-    method leaves no file.
+    method leaves no file. An ``--out`` that cannot be opened for writing
+    raises ``ConfigError``.
     """
     if config.experiment == "cert":
         lines = _run_cert(config)
@@ -398,8 +382,11 @@ def run_experiment(config):
         lines.append("experiment,method,iteration,residual,bound,infeasibility,gap")
         for _, rows in results:
             lines += rows
-    with open(config.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(config.out, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {config.out}: {exc.strerror}") from exc
 
 
 def _build_parser():

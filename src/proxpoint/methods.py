@@ -155,7 +155,7 @@ def _extrapolation_error(y, g):
     return None
 
 
-def iterate(step, x0, iters, variant="plain", restart=None, R=None,
+def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
             residual_sq=_euclidean_sq):
     """The one momentum loop: ``x_{i+1} = step(y_i)`` plus a momentum rule.
 

@@ -7,14 +7,14 @@ same data can be reproduced outside Python.
 
 import numpy as np
 
-from .operators import DenseLinearOperator, QuadraticSaddle
-from .splitting import difference_matrix
+from .operators import DenseLinearOperator, QuadraticSaddle, _check_positive
 
 __all__ = [
     "SplitMix64",
     "rotation_worst_case",
     "strongly_monotone_toy",
     "toy_saddle",
+    "difference_matrix",
     "basis_pursuit_instance",
     "basis_pursuit_solution",
     "bilinear_game_instance",
@@ -99,8 +99,7 @@ def rotation_worst_case(n, lam=1.0):
     """
     if n < 2:
         raise ValueError("horizon must be at least 2")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_positive(lam, "lam")
     s = 1.0 / (lam * np.sqrt(n - 1.0))
     return DenseLinearOperator([[0.0, s], [-s, 0.0]])
 
@@ -108,17 +107,28 @@ def rotation_worst_case(n, lam=1.0):
 def strongly_monotone_toy(n, lam=1.0, mu=0.02):
     """Rotation worst case shifted by ``mu * I``; mu-strongly monotone
     with zero at the origin, combining the two known extremal behaviors."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_positive(mu, "mu")
     m = rotation_worst_case(n, lam).entries + mu * np.eye(2)
     return DenseLinearOperator(m)
 
 
 def toy_saddle(n, lam=1.0, mu=0.02):
     """Saddle function whose subdifferential is :func:`strongly_monotone_toy`:
-    ``phi(u, v) = mu u^2/2 + s u v - mu v^2/2`` with ``s = 1/(lam sqrt(n-1))``."""
-    s = 1.0 / (lam * np.sqrt(n - 1.0))
-    return QuadraticSaddle([[mu]], [[s]], [[mu]])
+    ``phi(u, v) = mu u^2/2 + s u v - mu v^2/2`` with ``s = 1/(lam sqrt(n-1))``,
+    read off that operator's matrix ``[[mu, s], [-s, mu]]``."""
+    m = strongly_monotone_toy(n, lam, mu).entries
+    return QuadraticSaddle(m[:1, :1], m[:1, 1:], m[1:, 1:])
+
+
+def difference_matrix(d1):
+    """Bidiagonal first-difference matrix of shape ``(d1 - 1, d1)``."""
+    if d1 < 2:
+        raise ValueError("need d1 >= 2")
+    d = np.zeros((d1 - 1, d1))
+    idx = np.arange(d1 - 1)
+    d[idx, idx] = 1.0
+    d[idx, idx + 1] = -1.0
+    return d
 
 
 def _percentile90(values):

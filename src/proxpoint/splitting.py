@@ -3,9 +3,11 @@ the saddle-point solver, the proximal method of multipliers, PDHG,
 Douglas-Rachford, and ADMM, plus the proximal building blocks they need.
 
 Each engine is a step on a stacked point run by the shared momentum loop
-:func:`proxpoint.methods.iterate`, whose ``variant`` (for ADMM only
-``"plain"`` or ``"proposed"``) and ``restart`` keywords every engine
-takes.
+:func:`proxpoint.methods.iterate`, and each takes that loop's calling
+convention: ``engine(*problem, *start, iters, variant, restart, R)``, with
+any further argument keyword-only (ADMM takes only the variants
+``"plain"`` and ``"proposed"``). Subproblems without a closed form stop at
+``INNER_TOL`` relative to their scale or fail at ``INNER_MAX_ITERS``.
 They return a :class:`~proxpoint.methods.ResidualTrace` with squared
 fixed-point residuals (preconditioned for PDHG), constraint
 infeasibility for ADMM, and saddle gaps when a saddle point is supplied.
@@ -17,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import iterate
-from .operators import (InnerSolverError, Preconditioner, _factor, as_vector,
-                        saddle_resolvent_map)
+from .operators import (InnerSolverError, Preconditioner, _check_positive, _factor,
+                        as_vector, saddle_resolvent_map)
 
 __all__ = [
-    "InnerSolverConfig",
     "ProxDescriptor",
     "AffineConstraint",
     "soft_threshold",
-    "difference_matrix",
     "operator_norm",
     "fista_strongly_convex",
     "accelerated_saddle_ppm",
@@ -36,6 +36,11 @@ __all__ = [
     "admm",
 ]
 
+# Mapping-norm tolerance, relative to the subproblem scale, and iteration
+# cap of the FISTA runs that solve the l1 subproblems.
+INNER_TOL = 1e-10
+INNER_MAX_ITERS = 5000
+
 
 def soft_threshold(z, tau):
     """Elementwise shrinkage ``max(|z| - tau, 0) * sign(z)``."""
@@ -43,17 +48,6 @@ def soft_threshold(z, tau):
         raise ValueError("threshold must be nonnegative")
     z = np.asarray(z, dtype=float)
     return np.maximum(np.abs(z) - tau, 0.0) * np.sign(z)
-
-
-def difference_matrix(d1):
-    """Bidiagonal first-difference matrix of shape ``(d1 - 1, d1)``."""
-    if d1 < 2:
-        raise ValueError("need d1 >= 2")
-    d = np.zeros((d1 - 1, d1))
-    idx = np.arange(d1 - 1)
-    d[idx, idx] = 1.0
-    d[idx, idx + 1] = -1.0
-    return d
 
 
 def operator_norm(k):
@@ -65,15 +59,6 @@ def operator_norm(k):
         return 0.0
     gram = k @ k.T if k.shape[0] <= k.shape[1] else k.T @ k
     return math.sqrt(np.linalg.eigvalsh(gram)[-1])
-
-
-@dataclass
-class InnerSolverConfig:
-    """Tolerance on the prox-gradient mapping norm and iteration cap for
-    subproblems without a closed form."""
-
-    tol: float = 1e-10
-    max_iters: int = 5000
 
 
 class ProxDescriptor:
@@ -218,7 +203,7 @@ def fista_strongly_convex(quadratic_part, l1_weight, x_init, tol=1e-10, max_iter
         x = x_next
 
 
-def _subproblem(f, q_mat, inner, warm, spectrum):
+def _subproblem(f, q_mat, warm, spectrum):
     """``solve(q) = argmin_x f(x) + x'Qx/2 + q'x`` for the fixed ``Q =
     q_mat``, the one subproblem rule of the splitting engines.
 
@@ -237,9 +222,9 @@ def _subproblem(f, q_mat, inner, warm, spectrum):
             # Tolerance relative to the subproblem scale: the mapping-norm
             # floor in double precision grows with ||q||, so an absolute
             # tolerance is unattainable once iterates are large.
-            tol = inner.tol * max(1.0, float(np.linalg.norm(q)))
+            tol = INNER_TOL * max(1.0, float(np.linalg.norm(q)))
             warm = fista_strongly_convex((q_mat, q, m, big_l), f.weight, warm,
-                                         tol=tol, max_iters=inner.max_iters)
+                                         tol=tol, max_iters=INNER_MAX_ITERS)
             return warm
 
         return solve
@@ -256,7 +241,7 @@ def _subproblem(f, q_mat, inner, warm, spectrum):
 
 
 def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
-                           restart=None, saddle=None, R=None):
+                           restart=None, R=None, *, saddle=None):
     """Proximal point method on a convex-concave saddle function, with the
     accelerated update applied to the stacked iterates.
 
@@ -270,11 +255,11 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     iters : int
     variant, restart
         As for :func:`~proxpoint.methods.iterate`.
+    R : float, optional
+        Known initial distance to a saddle; fills the bound column.
     saddle : tuple, optional
         Known saddle point ``(u*, v*)``; fills the gap column
         ``phi(u_i, v*) - phi(u*, v_i)``.
-    R : float, optional
-        Known initial distance to a saddle; fills the bound column.
     """
     resolvent = saddle_resolvent_map(phi, lam)
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
@@ -284,9 +269,8 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     return trace
 
 
-def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
-                                 inner=None, variant="proposed", restart=None,
-                                 R=None):
+def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters, variant="proposed",
+                                 restart=None, R=None):
     """Accelerated proximal method of multipliers for
     ``min f(u) s.t. A u = b``.
 
@@ -299,9 +283,7 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
     The stacked iterate is
     ``x_{i+1} = (u_{i+1}, v_hat_i + lam (A u_{i+1} - b))``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    inner = inner or InnerSolverConfig()
+    _check_positive(lam, "lam")
     a_mat = np.asarray(a_mat, dtype=float)
     b = as_vector(b)
     d1 = a_mat.shape[1]
@@ -309,7 +291,7 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters,
         raise ValueError("dimensions of f, A, b disagree")
     lam_atb = lam * (a_mat.T @ b)
     solve_u = _subproblem(
-        f, lam * (a_mat.T @ a_mat) + np.eye(d1) / lam, inner, u0,
+        f, lam * (a_mat.T @ a_mat) + np.eye(d1) / lam, u0,
         lambda: (1.0 / lam, lam * operator_norm(a_mat) ** 2 + 1.0 / lam))
 
     def step(y):
@@ -333,7 +315,7 @@ def pdhg_preconditioner(k, tau, sigma):
 
 
 def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed", restart=None,
-         R=None, norm_k=None):
+         R=None, *, norm_k=None):
     """Primal-dual hybrid gradient method with the accelerated update.
 
     Requires ``tau * sigma * ||K||^2 < 1``, which makes the underlying
@@ -344,8 +326,8 @@ def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed", restart=None,
     ``R``, when given, is the preconditioned initial distance.
     """
     k = np.asarray(k, dtype=float)
-    if tau <= 0 or sigma <= 0:
-        raise ValueError("tau and sigma must be positive")
+    _check_positive(tau, "tau")
+    _check_positive(sigma, "sigma")
     if norm_k is None:
         norm_k = operator_norm(k)
     if tau * sigma * norm_k ** 2 >= 1.0:
@@ -378,8 +360,7 @@ def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed", restart=Non
     ``G = J1(2 J2 - I) + (I - J2)``, itself the resolvent of a maximally
     monotone operator, so every proximal point rate applies verbatim.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_positive(rho, "rho")
 
     # The resolvents validate their inputs, and the residual catches a
     # non-finite output, so the outputs are not scanned again here. Only
@@ -398,7 +379,7 @@ def drs(resolvent1, resolvent2, rho, nu0, iters, variant="proposed", restart=Non
     return iterate(step, nu0, iters, variant, restart, R)
 
 
-def _admm_x_solver(f, constraint, rho, inner):
+def _admm_x_solver(f, constraint, rho):
     a = constraint.A
     ata = a.T @ a
 
@@ -410,12 +391,12 @@ def _admm_x_solver(f, constraint, rho, inner):
             raise ValueError("l1 x-subproblem needs A'A positive definite")
         return rho * float(eigs[0]), rho * float(eigs[-1])
 
-    solve = _subproblem(f, rho * ata, inner, np.zeros(a.shape[1]), spectrum)
+    solve = _subproblem(f, rho * ata, np.zeros(a.shape[1]), spectrum)
     return lambda nu_hat, z: solve(
         a.T @ (nu_hat - rho * (constraint.c - constraint.B @ z)))
 
 
-def _admm_z_solver(g, constraint, rho, inner):
+def _admm_z_solver(g, constraint, rho):
     b = constraint.B
     eye = np.eye(b.shape[0])
     if g.kind == "l1" and (np.array_equal(b, eye) or np.array_equal(b, -eye)):
@@ -427,13 +408,13 @@ def _admm_z_solver(g, constraint, rho, inner):
     def spectrum():
         raise ValueError("l1 z-subproblem requires B = I or B = -I")
 
-    solve = _subproblem(g, rho * (b.T @ b), inner, np.zeros(b.shape[1]), spectrum)
+    solve = _subproblem(g, rho * (b.T @ b), np.zeros(b.shape[1]), spectrum)
     return lambda eta_hat, x: solve(
         b.T @ (eta_hat - rho * (constraint.c - constraint.A @ x)))
 
 
 def admm(f, g, constraint, rho, x0, z0, nu0, iters, variant="proposed", restart=None,
-         R=None, inner=None):
+         R=None):
     """Alternating direction method of multipliers: ``variant`` is
     ``"plain"`` or the accelerated ``"proposed"``, and any other raises
     ``ValueError``.
@@ -462,13 +443,11 @@ def admm(f, g, constraint, rho, x0, z0, nu0, iters, variant="proposed", restart=
     with ``eta_hat_i + rho (A x_{i+1} - c)`` equal to the extrapolated
     dual point (``eta_hat = nu_hat`` on plain runs).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_positive(rho, "rho")
     if variant not in ("plain", "proposed"):
         raise ValueError(f"ADMM takes variant 'plain' or 'proposed', got {variant!r}")
-    inner = inner or InnerSolverConfig()
-    solve_x = _admm_x_solver(f, constraint, rho, inner)
-    solve_z = _admm_z_solver(g, constraint, rho, inner)
+    solve_x = _admm_x_solver(f, constraint, rho)
+    solve_z = _admm_z_solver(g, constraint, rho)
     x0, z0, nu0 = as_vector(x0), as_vector(z0), as_vector(nu0)
     # Column ranges of the stacked point: nu_hat [:d2], z [d2:dx], x [dx:].
     d2 = nu0.size

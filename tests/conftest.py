@@ -16,6 +16,7 @@ from proxpoint import (
     fista_strongly_convex,
     operator_norm,
     soft_threshold,
+    splitting,
 )
 from proxpoint.methods import (
     Momentum,
@@ -212,7 +213,7 @@ def reference_iterate(step, x0, iters, variant, interval=None, adaptive=False,
 # match them bit for bit (np.array_equal), apart from the re-associated
 # right-hand side of the u-update for quadratic and linear f.
 
-def reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0, inner):
+def reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0):
     """``(u_hat, v_hat) -> u`` of ``accelerated_prox_multipliers``."""
     d1 = a_mat.shape[1]
     ata = a_mat.T @ a_mat
@@ -225,10 +226,10 @@ def reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0, inner):
 
         def solve_u(u_hat, v_hat):
             q_vec = a_mat.T @ v_hat - lam_atb - u_hat / lam
-            tol = inner.tol * max(1.0, float(np.linalg.norm(q_vec)))
+            tol = splitting.INNER_TOL * max(1.0, float(np.linalg.norm(q_vec)))
             u = fista_strongly_convex((smooth_q, q_vec, 1.0 / lam, big_l),
                                       f.weight, state["warm"],
-                                      tol=tol, max_iters=inner.max_iters)
+                                      tol=tol, max_iters=splitting.INNER_MAX_ITERS)
             state["warm"] = u
             return u
     elif f.kind in ("quadratic", "linear", "zero"):
@@ -248,7 +249,7 @@ def reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0, inner):
     return solve_u
 
 
-def reference_admm_x_solver(f, constraint, rho, inner):
+def reference_admm_x_solver(f, constraint, rho):
     a = constraint.A
     ata = a.T @ a
     if f.kind in ("quadratic", "linear", "zero"):
@@ -277,10 +278,10 @@ def reference_admm_x_solver(f, constraint, rho, inner):
 
         def solve(nu_hat, z):
             q_vec = a.T @ (nu_hat - rho * (constraint.c - constraint.B @ z))
-            tol = inner.tol * max(1.0, float(np.linalg.norm(q_vec)))
+            tol = splitting.INNER_TOL * max(1.0, float(np.linalg.norm(q_vec)))
             x = fista_strongly_convex((smooth_q, q_vec, m, big_l), f.weight,
                                       state["warm"], tol=tol,
-                                      max_iters=inner.max_iters)
+                                      max_iters=splitting.INNER_MAX_ITERS)
             state["warm"] = x
             return x
 
@@ -288,7 +289,7 @@ def reference_admm_x_solver(f, constraint, rho, inner):
     raise ValueError(f"unsupported f kind {f.kind!r}")
 
 
-def reference_admm_z_solver(g, constraint, rho, inner):
+def reference_admm_z_solver(g, constraint, rho):
     b = constraint.B
     if g.kind == "l1":
         sign = None

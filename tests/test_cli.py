@@ -365,8 +365,8 @@ class TestExitCodes:
         def runner(config):
             meta, engine, start, radius = real(config)
 
-            def violating(start, iters, variant, restart, R):
-                trace = engine(start, iters, variant, restart, R)
+            def violating(*args):
+                trace = engine(*args)
                 if trace.bounds is not None:
                     trace.residuals[6] = trace.bounds[6] * (1.0 + excess)
                 return trace
@@ -390,8 +390,8 @@ class TestExitCodes:
         def runner(config):
             meta, engine, start, radius = real(config)
 
-            def violating(start, iters, variant, restart, R):
-                trace = engine(start, iters, variant, restart, R)
+            def violating(*args):
+                trace = engine(*args)
                 trace.residuals[3] = trace.bounds[3] * 2.0
                 return trace
 
@@ -405,6 +405,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: accel: residual ")
         assert err.rstrip().endswith("at iteration 4")
+
+    @pytest.mark.parametrize("out,reason", [(".", "Is a directory"),
+                                            ("missing/run.csv", "No such file")],
+                             ids=["directory", "missing parent"])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, out, reason):
+        target = tmp_path / out
+        code = cli.main(["--experiment", "fig1", "--iters", "2", "--out", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --out {target}: {reason}")
+        assert err.count("\n") == 1
+        assert not target.is_file()
 
     def test_success_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2",

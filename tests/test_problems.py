@@ -18,6 +18,7 @@ from proxpoint import (
 )
 from proxpoint import problems
 from proxpoint.problems import PRESETS
+from conftest import run_fresh
 
 
 def assert_tv_kkt(h, b, gamma, x, nu, tol=1e-9):
@@ -138,6 +139,32 @@ class TestOperators:
         linear, shift = toy_saddle(100, 1.0, 0.02).stacked_operator()
         assert_allclose(linear.entries, op.entries)
         assert np.all(shift == 0.0)
+
+    @pytest.mark.parametrize("args", [(1,), (10, 0.0), (10, 1.0, 0.0)],
+                             ids=["horizon 1", "lam 0", "mu 0"])
+    def test_toy_saddle_rejects_what_the_toy_rejects(self, args):
+        for build in (strongly_monotone_toy, toy_saddle):
+            with pytest.raises(ValueError):
+                build(*args)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("build,name", [
+        (rotation_worst_case, "lam"),
+        (strongly_monotone_toy, "lam"),
+        (strongly_monotone_toy, "mu"),
+        (toy_saddle, "lam"),
+        (toy_saddle, "mu"),
+    ])
+    def test_step_parameters_are_positive_reals(self, build, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive real"):
+            build(10, **{name: value})
+
+    def test_toy_saddle_blocks_are_the_closed_form(self):
+        for n, lam, mu in [(2, 1.0, 0.02), (100, 1.0, 0.02), (37, 0.3, 5.0)]:
+            phi = toy_saddle(n, lam, mu)
+            s = 1.0 / (lam * np.sqrt(n - 1.0))
+            assert (phi.q_uu[0, 0], phi.k[0, 0], phi.q_vv[0, 0]) == (mu, s, mu)
 
     def test_large_mu_dominates(self):
         op = strongly_monotone_toy(10, 1.0, 1e6)
@@ -286,6 +313,15 @@ class TestBilinearGame:
 
 
 class TestTV:
+    def test_instance_loads_no_engine(self):
+        # difference_matrix lives here, so the instances need only operators.
+        proc = run_fresh(
+            "-c", "import sys; from proxpoint.problems import tv_instance; "
+            "tv_instance(8, 3, 1); print(sorted(m for m in "
+            "('proxpoint.methods', 'proxpoint.splitting') if m in sys.modules))",
+            check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_piecewise_constant_structure(self):
         inst = tv_instance(100, 5, 1)
         jumps = inst["D"] @ inst["x_true"]

@@ -8,7 +8,6 @@ from scipy.linalg import lu_factor, lu_solve
 from proxpoint import (
     AffineConstraint,
     DenseLinearOperator,
-    InnerSolverConfig,
     InnerSolverError,
     ProxDescriptor,
     QuadraticSaddle,
@@ -22,6 +21,7 @@ from proxpoint import (
     difference_matrix,
     drs,
     fista_strongly_convex,
+    forward_method,
     linear_resolvent,
     operator_norm,
     pdhg,
@@ -31,9 +31,10 @@ from proxpoint import (
     strongly_monotone_toy,
     toy_saddle,
     tv_instance,
+    yosida,
 )
 from proxpoint import SplitMix64, splitting
-from proxpoint.methods import Momentum, iterate
+from proxpoint.methods import Momentum, _euclidean_sq, iterate
 from proxpoint.problems import PRESETS
 from conftest import (
     lu_solve_factor,
@@ -620,15 +621,15 @@ class TestADMM:
         with pytest.raises(ValueError, match=repr(variant)):
             admm(f, g, cons, 0.05, x0, z0, nu0, 2, variant=variant)
 
-    def test_inner_cap_propagates(self):
+    def test_inner_cap_propagates(self, monkeypatch):
         inst = basis_pursuit_instance(12, 4, 3)
         f = ProxDescriptor.l1(12, 1.0)
         u0, v0 = np.zeros(12), np.zeros(4)
+        monkeypatch.setattr(splitting, "INNER_TOL", 1e-14)
+        monkeypatch.setattr(splitting, "INNER_MAX_ITERS", 1)
         with pytest.raises(InnerSolverError):
             accelerated_prox_multipliers(f, inst["A"], 50.0 * inst["b"], 1.0,
-                                         u0, v0, 5,
-                                         inner=InnerSolverConfig(tol=1e-14,
-                                                                 max_iters=1))
+                                         u0, v0, 5)
 
 
 class TestSharedEngine:
@@ -792,12 +793,10 @@ class TestSubproblemRule:
         a_mat, b = rng.normal_matrix(d2, d1), rng.normals(d2)
         f = random_prox(f_kind, d1, rng)
         u0, v0 = rng.normals(d1), rng.normals(d2)
-        inner = InnerSolverConfig()
-        trace = accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, 30,
-                                             inner=inner, restart=12)
+        trace = accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, 30, restart=12)
         # Replay every step's point through the reference u-update, in
         # order, so its warm starts follow the engine's.
-        solve_u = reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0, inner)
+        solve_u = reference_prox_multipliers_u_solver(f, a_mat, b, lam, u0)
         want = np.array([solve_u(y[:d1], y[d1:]) for y in trace.ys])
         got = trace.xs[1:, :d1]
         if f_kind in ("l1", "zero"):
@@ -820,15 +819,15 @@ class TestSubproblemRule:
         # A 2 x 3 A has rank at most 2, yet the smallest computed eigenvalue
         # of A'A is a rounding-level number of either sign; a 5 x 3 Gaussian
         # A has full column rank.
-        f, inner = ProxDescriptor.l1(3, 1.0), InnerSolverConfig()
+        f = ProxDescriptor.l1(3, 1.0)
         for seed in range(200):
             wide = SplitMix64(seed).normal_matrix(2, 3)
             cons = AffineConstraint(wide, -np.eye(2), np.zeros(2))
             with pytest.raises(ValueError, match="positive definite"):
-                splitting._admm_x_solver(f, cons, 0.7, inner)
+                splitting._admm_x_solver(f, cons, 0.7)
             tall = SplitMix64(seed).normal_matrix(5, 3)
-            splitting._admm_x_solver(f, AffineConstraint(tall, -np.eye(5), np.zeros(5)),
-                                     0.7, inner)
+            splitting._admm_x_solver(
+                f, AffineConstraint(tall, -np.eye(5), np.zeros(5)), 0.7)
 
     def test_l1_x_spectrum_takes_one_eigendecomposition(self, monkeypatch):
         # (m, L) both come from the one eigvalsh of A'A.
@@ -856,3 +855,89 @@ class TestSubproblemRule:
         for f, g in ((huber, zero), (zero, huber)):
             with pytest.raises(ValueError, match="unsupported prox kind"):
                 admm(f, g, cons, 1.0, start, start, start, 2)
+
+
+def engine_cases():
+    """``name -> (engine, problem, start)`` for every engine on the loop's
+    calling convention ``engine(*problem, *start, iters, variant, restart, R)``."""
+    rng = SplitMix64(11)
+    resolvent = linear_resolvent(random_monotone_operator(rng, 3), 0.8)
+    second = linear_resolvent(random_monotone_operator(rng, 3), 0.8)
+    game = bilinear_game_instance(6, 4, 2)
+    tau = sigma = 0.9 / operator_norm(game["K"])
+    bp = basis_pursuit_instance(12, 4, 3)
+    _, f, g, cons, x0, z0, nu0 = tv_setup(d1=12)
+    return {
+        "iterate": (iterate, (resolvent,), (rng.normals(3),)),
+        "forward_method": (forward_method, (yosida(resolvent, 0.8), 0.8),
+                           (rng.normals(3),)),
+        "accelerated_saddle_ppm": (accelerated_saddle_ppm, (toy_saddle(20), 1.0),
+                                   ([1.0], [0.0])),
+        "accelerated_prox_multipliers": (
+            accelerated_prox_multipliers,
+            (ProxDescriptor.l1(12, 1.0), bp["A"], bp["b"], 0.5),
+            (np.zeros(12), np.zeros(4))),
+        "pdhg": (pdhg, (ProxDescriptor.linear(game["a"]),
+                        ProxDescriptor.linear(game["b"]), game["K"], tau, sigma),
+                 (np.ones(6), np.ones(4))),
+        "drs": (drs, (resolvent, second, 0.8), (rng.normals(3),)),
+        "admm": (admm, (f, g, cons, 0.05), (x0, z0, nu0)),
+    }
+
+
+TRACE_FIELDS = ("iterations", "residuals", "bounds", "xs", "ys", "gaps", "infeasibility")
+
+
+class TestOneSignature:
+    @pytest.mark.parametrize("name", list(engine_cases()))
+    @pytest.mark.parametrize("variant,restart,R", [("proposed", None, 2.0),
+                                                   ("plain", "adaptive", None),
+                                                   ("proposed", 5, 1.0)])
+    def test_positional_call_is_the_keyword_call(self, name, variant, restart, R):
+        engine, problem, start = engine_cases()[name]
+        got = engine(*problem, *start, 30, variant, restart, R)
+        want = engine(*problem, *start, iters=30, variant=variant, restart=restart, R=R)
+        for field in TRACE_FIELDS:
+            a, b = getattr(got, field, None), getattr(want, field, None)
+            if b is None:
+                assert a is None, field
+            else:
+                assert a.tobytes() == b.tobytes(), field
+        assert got.restarts == want.restarts
+        assert (got.bounds is not None) == (R is not None and restart is None)
+
+    def test_extra_arguments_are_keyword_only(self):
+        cases = engine_cases()
+        engine, problem, start = cases["accelerated_saddle_ppm"]
+        with pytest.raises(TypeError):
+            engine(*problem, *start, 5, "proposed", None, None, ([0.0], [0.0]))
+        engine, problem, start = cases["pdhg"]
+        with pytest.raises(TypeError):
+            engine(*problem, *start, 5, "proposed", None, None,
+                   operator_norm(problem[2]))
+        engine, problem, start = cases["iterate"]
+        with pytest.raises(TypeError):
+            engine(*problem, *start, 5, "plain", None, None, _euclidean_sq)
+
+
+BAD_STEPS = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+class TestStepParameters:
+    @pytest.mark.parametrize("value", BAD_STEPS, ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("name,param,index", [
+        ("accelerated_prox_multipliers", "lam", 3),
+        ("pdhg", "tau", 3),
+        ("pdhg", "sigma", 4),
+        ("drs", "rho", 2),
+        ("admm", "rho", 3),
+    ])
+    def test_rejected_before_any_step(self, name, param, index, value, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("the engine ran its loop")
+
+        engine, problem, start = engine_cases()[name]
+        problem = problem[:index] + (value,) + problem[index + 1:]
+        monkeypatch.setattr(splitting, "iterate", no_step)
+        with pytest.raises(ValueError, match=f"^{param} must be a positive real"):
+            engine(*problem, *start, 5)
