@@ -22,7 +22,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 # Every BLAS call here is small, and a second OpenBLAS thread mostly
 # spin-waits. Both OpenBLAS builds (numpy's and scipy's) read this when
@@ -41,7 +40,7 @@ from .problems import (PRESETS, basis_pursuit_instance, basis_pursuit_solution,
                        bilinear_game_instance, rotation_worst_case, toy_saddle,
                        tv_instance, tv_solution)
 
-__all__ = ["RunConfig", "ConfigError", "run_experiment", "main"]
+__all__ = ["ConfigError", "parse_config", "run_experiment", "main"]
 
 FIXED_POINT_TOL = 1e-9
 # A residual above bound * (1 + BOUND_SLACK) is a numerical failure. The
@@ -50,7 +49,9 @@ FIXED_POINT_TOL = 1e-9
 # few ulps either side; 1e-9 covers that with room and is the gate
 # perfbench applies to the same CSV column.
 BOUND_SLACK = 1e-9
-METHOD_NAMES = ("ppm", "accel", "guler1", "guler2", "restarted")
+_VARIANT_OF = {"ppm": "plain", "accel": "proposed",
+               "guler1": "guler1", "guler2": "guler2"}
+METHOD_NAMES = (*_VARIANT_OF, "restarted")
 DEFAULT_METHODS = {
     "fig1": ("ppm", "guler1", "accel"),
     "fig2": ("ppm", "accel", "restarted"),
@@ -58,8 +59,6 @@ DEFAULT_METHODS = {
     "fig4": ("ppm", "guler1", "accel", "restarted"),
     "fig5": ("ppm", "accel", "restarted"),
 }
-_VARIANT_OF = {"ppm": "plain", "accel": "proposed",
-               "guler1": "guler1", "guler2": "guler2"}
 # The optional flags each figure reads besides --iters; --restart is read
 # only by the restarted method and --nmax only by cert. Any other
 # flag is a configuration error rather than silently ignored.
@@ -70,8 +69,8 @@ _FIGURE_FLAGS = {
     "fig4": ("tau", "sigma", "seed"),
     "fig5": ("rho", "gamma", "seed"),
 }
-_OPTIONAL_FLAGS = ("iters", "lam", "mu", "rho", "tau", "sigma", "gamma", "seed",
-                   "restart", "nmax")
+_FLOAT_FLAGS = ("lam", "mu", "rho", "tau", "sigma", "gamma")
+_OPTIONAL_FLAGS = ("iters", *_FLOAT_FLAGS, "seed", "restart", "nmax")
 
 
 class ConfigError(ValueError):
@@ -79,85 +78,12 @@ class ConfigError(ValueError):
 
 
 def _flag(name):
-    """Command-line spelling of a :class:`RunConfig` field."""
-    return "--" + {"lam": "lambda"}.get(name, name).replace("_", "-")
-
-
-@dataclass
-class RunConfig:
-    """Validated CLI configuration for one experiment run."""
-
-    experiment: str
-    methods: list
-    iters: int | None = None
-    lam: float | None = None
-    mu: float | None = None
-    rho: float | None = None
-    tau: float | None = None
-    sigma: float | None = None
-    gamma: float | None = None
-    seed: int | None = None
-    restart: int | str | None = None
-    nmax: int | None = None
-    out: str = "experiment.csv"
-    preset: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        base = self.experiment.split("-")[0]
-        if self.experiment != "cert":
-            if self.experiment not in PRESETS:
-                raise ConfigError(f"unknown experiment {self.experiment!r}")
-            self.preset = dict(PRESETS[self.experiment])
-            allowed = DEFAULT_METHODS[base]
-            if not self.methods:
-                self.methods = list(allowed)
-            for i, m in enumerate(self.methods):
-                if m not in METHOD_NAMES:
-                    raise ConfigError(f"unknown method {m!r}")
-                if m in self.methods[:i]:
-                    raise ConfigError(f"--method {m} is given more than once")
-                if base == "fig5" and m.startswith("guler"):
-                    raise ConfigError(
-                        "guler variants are not defined for the ADMM experiment")
-            reads = {"iters", *_FIGURE_FLAGS[base]}
-            if "restarted" in self.methods:
-                reads.add("restart")
-        else:
-            if self.methods:
-                raise ConfigError("the certificate report takes no --method")
-            reads = {"nmax"}
-        for name in _OPTIONAL_FLAGS:
-            value = getattr(self, name)
-            if name not in reads and value is not None:
-                raise ConfigError(
-                    "--restart is read only by the restarted method" if name == "restart"
-                    else f"{_flag(name)} is not read by the {self.experiment} experiment")
-        if self.experiment == "cert":
-            if self.nmax is None:
-                self.nmax = 60
-            if self.nmax < 2:
-                raise ConfigError("--nmax must be at least 2")
-        elif self.iters is None:
-            self.iters = self.preset["iters"]
-        if self.iters is not None and self.iters < 1:
-            raise ConfigError("--iters must be positive")
-        for name in ("lam", "mu", "rho", "tau", "sigma", "gamma"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{_flag(name)} must be a positive finite number")
-        if self.restart not in (None, "adaptive"):
-            if not (str(self.restart).isdecimal() and int(self.restart) >= 1):
-                raise ConfigError("--restart takes an integer K >= 1 or 'adaptive'")
-            self.restart = int(self.restart)
+    """Command-line spelling of the flag stored under ``name``."""
+    return "--lambda" if name == "lam" else "--" + name
 
 
 def _fmt(value):
     return "" if value is None else format(float(value), ".17g")
-
-
-def _param(config, name, default):
-    value = getattr(config, name)
-    return default if value is None else value
 
 
 def _expand_methods(config):
@@ -168,8 +94,8 @@ def _expand_methods(config):
         if name != "restarted":
             tasks.append((name, _VARIANT_OF[name], None))
             continue
-        restarts = ((config.restart,) if config.restart is not None
-                    else config.preset.get("restarts", ()))
+        restarts = ((config.params["restart"],) if "restart" in config.params
+                    else config.params.get("restarts", ()))
         if not restarts:
             raise ConfigError("the restarted method needs --restart")
         tasks += [("adaptive-restart" if k == "adaptive" else f"restart@{k}",
@@ -205,20 +131,6 @@ def _check_bounds(label, trace):
             f" {_fmt(trace.bounds[j])} at iteration {int(trace.iterations[j])}")
 
 
-def _trace_rows(experiment, label, trace):
-    infeas, gaps = trace.infeasibility, trace.gaps
-    rows = []
-    for j, i in enumerate(trace.iterations):
-        rows.append((
-            experiment, label, str(int(i)),
-            _fmt(trace.residuals[j]),
-            _fmt(None if trace.bounds is None else trace.bounds[j]),
-            _fmt(None if infeas is None else infeas[j]),
-            _fmt(None if gaps is None else gaps[j]),
-        ))
-    return rows
-
-
 def _run_method(experiment, engine, start, iters, radius, label, variant, restart):
     """Run one method, check its bound column and format its output: returns
     its ``# restarts[...]`` line (``None`` without restarts) and its CSV rows.
@@ -230,20 +142,26 @@ def _run_method(experiment, engine, start, iters, radius, label, variant, restar
     _check_bounds(label, trace)
     restarts = (f"# restarts[{label}]={','.join(map(str, trace.restarts))}"
                 if trace.restarts else None)
-    return restarts, [",".join(row) for row in _trace_rows(experiment, label, trace)]
+    blank = [None] * len(trace.iterations)
+    columns = [blank if c is None else c
+               for c in (trace.bounds, trace.infeasibility, trace.gaps)]
+    return restarts, [f"{experiment},{label},{int(i)},{_fmt(r)},{_fmt(b)},{_fmt(f)},{_fmt(g)}"
+                      for i, r, b, f, g in zip(trace.iterations, trace.residuals, *columns)]
 
 
-# Each runner returns (meta, engine, start, R): the header lines, the library
-# engine with the figure's problem bound by functools.partial, so that it
-# runs as engine(*start, iters, variant, restart, R), its start blocks as a
-# tuple, and the R to bound by (None when the reference check fails).
+# Each runner reads the figure's parameters from config.params, its preset
+# with the given flags laid over it, and returns (meta, engine, start, R):
+# the header lines, the library engine with the figure's problem bound by
+# functools.partial, so that it runs as engine(*start, iters, variant,
+# restart, R), its start blocks as a tuple, and the R to bound by (None when
+# the reference check fails).
 
 def _run_operator_experiment(config):
     """fig1: worst-case rotation; methods act through a shared resolvent."""
-    n = config.preset["n"]
-    lam = _param(config, "lam", config.preset["lam"])
+    p = config.params
+    n, lam = p["n"], p["lam"]
     resolvent = linear_resolvent(rotation_worst_case(n, lam), lam)
-    meta = [f"# problem=rotation n={n} lam={_fmt(lam)} iters={config.iters}"
+    meta = [f"# problem=rotation n={n} lam={_fmt(lam)} iters={p['iters']}"
             f" x0=[1,0] R=1 R_source=exact"]
     return meta, functools.partial(iterate, resolvent), (np.array([1.0, 0.0]),), 1.0
 
@@ -251,21 +169,19 @@ def _run_operator_experiment(config):
 def _run_saddle_experiment(config):
     """fig2: strongly monotone toy problem via its saddle function, so the
     gap column is available alongside the residual."""
-    n = config.preset["n"]
-    lam = _param(config, "lam", config.preset["lam"])
-    mu = _param(config, "mu", config.preset["mu"])
+    p = config.params
+    n, lam, mu = p["n"], p["lam"], p["mu"]
     engine = functools.partial(sp.accelerated_saddle_ppm, toy_saddle(n, lam, mu), lam,
                                saddle=(np.zeros(1), np.zeros(1)))
     meta = [f"# problem=strongly_monotone_toy n={n} lam={_fmt(lam)} mu={_fmt(mu)}"
-            f" iters={config.iters} x0=[1,0] R=1 R_source=exact"]
+            f" iters={p['iters']} x0=[1,0] R=1 R_source=exact"]
     return meta, engine, (np.array([1.0]), np.array([0.0])), 1.0
 
 
 def _run_prox_mult_experiment(config):
     """fig3: basis pursuit by the proximal method of multipliers."""
-    p = config.preset
-    seed = _param(config, "seed", p["seed"])
-    lam = _param(config, "lam", p["lam"])
+    p = config.params
+    seed, lam = p["seed"], p["lam"]
     inst = basis_pursuit_instance(p["d1"], p["d2"], seed)
     engine = functools.partial(sp.accelerated_prox_multipliers,
                                sp.ProxDescriptor.l1(p["d1"], 1.0), inst["A"], inst["b"],
@@ -276,19 +192,19 @@ def _run_prox_mult_experiment(config):
     line, radius = _radius_line(engine, (u_star, v_star), radius,
                                 "exact (KKT point of the basis pursuit LP)")
     meta = [f"# problem=basis_pursuit d1={p['d1']} d2={p['d2']} seed={seed}"
-            f" lam={_fmt(lam)} iters={config.iters} x0=0", line]
+            f" lam={_fmt(lam)} iters={p['iters']} x0=0", line]
     return meta, engine, (u0, v0), radius
 
 
 def _run_pdhg_experiment(config):
     """fig4: bilinear game by (accelerated) PDHG; preconditioned residuals."""
-    p = config.preset
-    seed = _param(config, "seed", p["seed"])
+    p = config.params
+    seed = p["seed"]
     inst = bilinear_game_instance(p["d1"], p["d2"], seed)
     k = inst["K"]
     norm_k = sp.operator_norm(k)
-    tau = _param(config, "tau", p["step_fraction"] / norm_k)
-    sigma = _param(config, "sigma", p["step_fraction"] / norm_k)
+    tau = p.get("tau", p["step_fraction"] / norm_k)
+    sigma = p.get("sigma", p["step_fraction"] / norm_k)
     engine = functools.partial(sp.pdhg, sp.ProxDescriptor.linear(inst["a"]),
                                sp.ProxDescriptor.linear(inst["b"]), k, tau, sigma,
                                norm_k=norm_k)
@@ -306,16 +222,14 @@ def _run_pdhg_experiment(config):
                                 "exact (nearest point of the planted saddle set)")
     meta = [f"# problem=bilinear_game d1={p['d1']} d2={p['d2']} seed={seed}"
             f" tau={_fmt(tau)} sigma={_fmt(sigma)} norm_K={_fmt(norm_k)}"
-            f" iters={config.iters} x0=all-tens residual=preconditioned", line]
+            f" iters={p['iters']} x0=all-tens residual=preconditioned", line]
     return meta, engine, (u0, v0), radius
 
 
 def _run_admm_experiment(config):
     """fig5: total-variation least squares by (accelerated) ADMM."""
-    p = config.preset
-    seed = _param(config, "seed", p["seed"])
-    gamma = _param(config, "gamma", p["gamma"])
-    rho = _param(config, "rho", p["rho"])
+    p = config.params
+    seed, gamma, rho = p["seed"], p["gamma"], p["rho"]
     inst = tv_instance(p["d1"], p["p"], seed, p["noise_scale"])
     d2 = p["d1"] - 1
     cons = sp.AffineConstraint(inst["D"], -np.eye(d2), np.zeros(d2))
@@ -333,7 +247,7 @@ def _run_admm_experiment(config):
                                 "exact (KKT point of the TV least-squares problem)")
     meta = [f"# problem=tv_least_squares d1={p['d1']} p={p['p']} seed={seed}"
             f" gamma={_fmt(gamma)} rho={_fmt(rho)}"
-            f" noise_scale={_fmt(p['noise_scale'])} iters={config.iters} x0=0", line]
+            f" noise_scale={_fmt(p['noise_scale'])} iters={p['iters']} x0=0", line]
     return meta, engine, (x0, z0, nu0), radius
 
 
@@ -347,9 +261,9 @@ _RUNNERS = {
 
 
 def _run_cert(config):
-    lines = [f"# certificate report nmax={config.nmax}",
-             "N,deviation,min_eig,dual_value"]
-    for n in range(2, config.nmax + 1):
+    nmax = config.params["nmax"]
+    lines = [f"# certificate report nmax={nmax}", "N,deviation,min_eig,dual_value"]
+    for n in range(2, nmax + 1):
         rep = verify_certificate(n)
         if not rep.passed:
             raise ArithmeticError(f"certificate failed at N={n}: {rep}")
@@ -373,8 +287,8 @@ def run_experiment(config):
     else:
         tasks = _expand_methods(config)
         meta, engine, start, radius = _RUNNERS[config.experiment.split("-")[0]](config)
-        results = [_run_method(config.experiment, engine, start, config.iters, radius,
-                               *task) for task in tasks]
+        results = [_run_method(config.experiment, engine, start, config.params["iters"],
+                               radius, *task) for task in tasks]
         lines = [f"# experiment={config.experiment}"
                  f" methods={'|'.join(label for label, _, _ in tasks)}"]
         lines += meta
@@ -389,23 +303,29 @@ def run_experiment(config):
         raise ConfigError(f"cannot write --out {config.out}: {exc.strerror}") from exc
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="proxpoint",
-        description="Reproduce the benchmark figure data and the certificate "
-                    "report as CSV.")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def parse_config(argv):
+    """Parse and check the flags (raises ConfigError).
+
+    Returns the argparse namespace with ``params`` added: the experiment's
+    preset (``cert``'s is ``nmax=60``) with the flags it reads that were
+    given laid over it, ``--restart`` as an int unless it is ``adaptive``.
+    """
+    parser = _Parser(prog="proxpoint",
+                     description="Reproduce the benchmark figure data and the "
+                                 "certificate report as CSV.")
     parser.add_argument("--experiment", required=True,
                         choices=sorted(PRESETS) + ["cert"])
     parser.add_argument("--method", dest="methods", action="append", default=[],
                         help="method to run (repeatable): ppm, accel, guler1, "
                              "guler2, restarted")
     parser.add_argument("--iters", type=int)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--gamma", type=float)
+    for name in _FLOAT_FLAGS:
+        parser.add_argument(_flag(name), dest=name, type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--restart", metavar="K|adaptive",
                         help="restart the restarted method every K iterations, "
@@ -414,19 +334,45 @@ def _build_parser():
                         help="largest horizon for the certificate report "
                              "(default 60)")
     parser.add_argument("--out", default="experiment.csv")
-    return parser
+    config = parser.parse_args(argv)
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(message)
-
-
-def parse_config(argv):
-    """Parse flags into a validated :class:`RunConfig` (raises ConfigError)."""
-    parser = _build_parser()
-    parser.__class__ = _Parser
-    return RunConfig(**vars(parser.parse_args(argv)))
+    given = {name: getattr(config, name) for name in _OPTIONAL_FLAGS
+             if getattr(config, name) is not None}
+    if config.experiment == "cert":
+        if config.methods:
+            raise ConfigError("the certificate report takes no --method")
+        preset, reads = {"nmax": 60}, {"nmax"}
+    else:
+        base = config.experiment.split("-")[0]
+        config.methods = config.methods or list(DEFAULT_METHODS[base])
+        for i, m in enumerate(config.methods):
+            if m not in METHOD_NAMES:
+                raise ConfigError(f"unknown method {m!r}")
+            if m in config.methods[:i]:
+                raise ConfigError(f"--method {m} is given more than once")
+            if base == "fig5" and m.startswith("guler"):
+                raise ConfigError("guler variants are not defined for the ADMM experiment")
+        preset, reads = PRESETS[config.experiment], {"iters", *_FIGURE_FLAGS[base]}
+        if "restarted" in config.methods:
+            reads.add("restart")
+    for name in given:
+        if name not in reads:
+            raise ConfigError(
+                "--restart is read only by the restarted method" if name == "restart"
+                else f"{_flag(name)} is not read by the {config.experiment} experiment")
+    if given.get("nmax", 2) < 2:
+        raise ConfigError("--nmax must be at least 2")
+    if given.get("iters", 1) < 1:
+        raise ConfigError("--iters must be positive")
+    for name in _FLOAT_FLAGS:
+        if name in given and not (math.isfinite(given[name]) and given[name] > 0):
+            raise ConfigError(f"{_flag(name)} must be a positive finite number")
+    if given.get("restart", "adaptive") != "adaptive":
+        if not (given["restart"].isdecimal() and int(given["restart"]) >= 1):
+            raise ConfigError("--restart takes an integer K >= 1 or 'adaptive'")
+        given["restart"] = int(given["restart"])
+    config.params = {**preset, **given}
+    return config
 
 
 def main(argv=None):

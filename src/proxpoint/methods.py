@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import as_vector
+from .operators import _check_positive, as_vector
 
 __all__ = [
     "StepCoeffs",
@@ -352,8 +352,9 @@ def optimal_restart_interval(lam, mu, mode="operator"):
     ``round(e / (lam * mu))`` for the operator residual, half that for
     function-value (saddle gap) restarting, both clamped to >= 1.
     """
-    if not lam * mu > 0:
-        raise ValueError("lam * mu must be positive")
+    _check_positive(lam, "lam")
+    _check_positive(mu, "mu")
+    _check_positive(lam * mu, "lam * mu")
     if mode == "operator":
         k = math.e / (lam * mu)
     elif mode == "function":
@@ -376,8 +377,7 @@ def forward_method(operator, beta, y0, iters, variant="plain", restart=None, R=N
     index ``lam`` with ``beta = lam`` this reproduces the proximal point
     method, since ``J = I - lam * M_lam``.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _check_positive(beta, "beta")
 
     def step(y):
         return y - beta * np.asarray(operator(y))

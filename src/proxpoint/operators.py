@@ -72,9 +72,15 @@ def as_vector(x):
 
 
 def _check_positive(lam, name="lambda"):
-    if not np.isfinite(lam) or lam <= 0:
+    if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"{name} must be a positive real, got {lam!r}")
     return float(lam)
+
+
+def _check_nonnegative(value, name):
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a nonnegative real, got {value!r}")
+    return float(value)
 
 
 def _square_matrix(entries, name="operator"):
@@ -170,8 +176,7 @@ def check_monotone(op, mu=0.0):
     MonotonicityReport
         Truthy iff the test passes; carries the minimum eigenvalue.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_nonnegative(mu, "mu")
     m = _entries(op)
     lam_min = _min_eigenvalue(0.5 * (m + m.T))
     return MonotonicityReport(lam_min >= mu - 1e-10, lam_min, mu)

@@ -142,10 +142,11 @@ def constraint_c(n):
 class ConstraintMatrices:
     """Constraint matrices of the Gram-space worst-case program.
 
-    ``A[(i, j)]`` and ``B[i]`` are the monotonicity constraints; ``C`` is
-    the initial-distance constraint. The relaxed program keeps only the
-    consecutive ``A[(i-1, i)]`` plus ``B[n]``, but the full family is
-    available for exploration.
+    ``A[(i, j)]`` and ``B[i]`` are the monotonicity constraints, for every
+    pair ``1 <= i < j <= n`` and every ``1 <= i <= n``; ``C`` is the
+    initial-distance constraint. The relaxed program that the analytic
+    certificate uses keeps only the consecutive ``A[(i-1, i)]`` plus
+    ``B[n]``.
     """
 
     horizon: int
@@ -154,7 +155,7 @@ class ConstraintMatrices:
     C: np.ndarray
 
 
-def build_constraint_matrices(coeffs, n, relaxed_only=False):
+def build_constraint_matrices(coeffs, n):
     """Construct the constraint matrices of the worst-case program.
 
     Parameters
@@ -163,21 +164,14 @@ def build_constraint_matrices(coeffs, n, relaxed_only=False):
         Step coefficients with ``coeffs.horizon >= n``.
     n : int
         Number of iterations covered by the program.
-    relaxed_only : bool
-        Build just the consecutive pairs ``A[(i-1, i)]`` and ``B[n]``
-        used by the analytic certificate.
     """
     if n < 2:
         raise ValueError("horizon must be at least 2")
     if coeffs.horizon < n:
         raise ValueError("step coefficients cover fewer iterations than requested")
-    if relaxed_only:
-        a = {(i - 1, i): constraint_a(coeffs, n, i - 1, i) for i in range(2, n + 1)}
-        b = {n: constraint_b(coeffs, n, n)}
-    else:
-        a = {(i, j): constraint_a(coeffs, n, i, j)
-             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-        b = {i: constraint_b(coeffs, n, i) for i in range(1, n + 1)}
+    a = {(i, j): constraint_a(coeffs, n, i, j)
+         for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    b = {i: constraint_b(coeffs, n, i) for i in range(1, n + 1)}
     return ConstraintMatrices(n, a, b, constraint_c(n))
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import iterate
-from .operators import (InnerSolverError, Preconditioner, _check_positive, _factor,
-                        as_vector, saddle_resolvent_map)
+from .operators import (InnerSolverError, Preconditioner, _check_nonnegative,
+                        _check_positive, _factor, as_vector, saddle_resolvent_map)
 
 __all__ = [
     "ProxDescriptor",
@@ -44,8 +44,7 @@ INNER_MAX_ITERS = 5000
 
 def soft_threshold(z, tau):
     """Elementwise shrinkage ``max(|z| - tau, 0) * sign(z)``."""
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_nonnegative(tau, "tau")
     z = np.asarray(z, dtype=float)
     return np.maximum(np.abs(z) - tau, 0.0) * np.sign(z)
 
@@ -75,9 +74,7 @@ class ProxDescriptor:
         self.kind = kind
         self.dim = int(dim)
         if kind == "l1":
-            if weight is None or weight < 0:
-                raise ValueError("l1 weight must be nonnegative")
-            self.weight = float(weight)
+            self.weight = _check_nonnegative(weight, "weight")
         elif kind == "quadratic":
             self.h = np.asarray(h, dtype=float)
             if self.h.ndim != 2 or self.h.shape[1] != self.dim:
@@ -111,8 +108,7 @@ class ProxDescriptor:
 
     def prox(self, w, t):
         """``argmin_x f(x) + ||x - w||^2 / (2 t)``."""
-        if t <= 0:
-            raise ValueError("prox step must be positive")
+        _check_positive(t, "t")
         w = as_vector(w)
         if self.kind == "zero":
             return w
@@ -146,7 +142,8 @@ class AffineConstraint:
         return self.A @ x + self.B @ z - self.c
 
 
-def fista_strongly_convex(quadratic_part, l1_weight, x_init, tol=1e-10, max_iters=5000):
+def fista_strongly_convex(quadratic_part, l1_weight, x_init, tol=INNER_TOL,
+                          max_iters=INNER_MAX_ITERS):
     """Constant-momentum proximal gradient for
     ``x'Qx/2 + q'x + l1_weight * ||x||_1`` with ``Q >= m I``.
 
@@ -178,8 +175,7 @@ def fista_strongly_convex(quadratic_part, l1_weight, x_init, tol=1e-10, max_iter
     q_vec = as_vector(q_vec)
     if not (m > 0 and big_l >= m):
         raise ValueError("need strong convexity 0 < m <= L")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_positive(tol, "tol")
     if max_iters < 0:
         raise ValueError("iteration cap must be nonnegative")
     theta = (np.sqrt(big_l) - np.sqrt(m)) / (np.sqrt(big_l) + np.sqrt(m))

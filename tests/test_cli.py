@@ -134,6 +134,40 @@ class TestConfigValidation:
             "error: --restart is read only by the restarted method"]
 
 
+class TestParams:
+    @pytest.mark.parametrize("args,given", [
+        (("fig1",), {}),
+        (("fig1", "--lambda", "0.5", "--iters", "3"), {"lam": 0.5, "iters": 3}),
+        (("fig2", "--mu", "0.1", "--restart", "5"), {"mu": 0.1, "restart": 5}),
+        (("fig2", "--method", "restarted", "--restart", "adaptive", "--lambda", "0.5"),
+         {"restart": "adaptive", "lam": 0.5}),
+        (("fig3", "--seed", "5", "--lambda", "0.1"), {"seed": 5, "lam": 0.1}),
+        (("fig3-desk", "--iters", "7"), {"iters": 7}),
+        (("fig4-desk",), {}),
+        (("fig4", "--seed", "7", "--tau", "0.001", "--sigma", "0.002"),
+         {"seed": 7, "tau": 0.001, "sigma": 0.002}),
+        (("fig5-desk", "--rho", "0.1"), {"rho": 0.1}),
+        (("fig5", "--rho", "0.1", "--gamma", "1", "--seed", "3", "--iters", "50"),
+         {"rho": 0.1, "gamma": 1.0, "seed": 3, "iters": 50}),
+        (("cert",), {"nmax": 60}),
+        (("cert", "--nmax", "5"), {"nmax": 5}),
+    ])
+    def test_params_are_the_preset_with_the_given_flags_laid_over_it(self, args, given):
+        params = cli.parse_config(["--experiment", *args]).params
+        assert params == {**PRESETS.get(args[0], {}), **given}
+        assert all(type(params[k]) is type(v) for k, v in given.items())
+
+    def test_fig4_without_step_flags_has_no_step_params(self):
+        params = cli.parse_config(["--experiment", "fig4-desk"]).params
+        assert "tau" not in params and "sigma" not in params
+
+    def test_help_names_every_flag(self):
+        proc = run_fresh("-m", "proxpoint.cli", "--help")
+        assert proc.returncode == 0, proc.stderr
+        for name in cli._OPTIONAL_FLAGS:
+            assert f" {cli._flag(name)} " in proc.stdout
+
+
 class TestFigureRuns:
     def test_fig1_columns_and_bounds(self, tmp_path):
         code, out = run_cli(tmp_path, "--experiment", "fig1", "--iters", "10")

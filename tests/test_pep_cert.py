@@ -68,11 +68,6 @@ class TestConstraintMatrices:
         for mat in list(mats.A.values()) + list(mats.B.values()) + [mats.C]:
             assert_allclose(mat, mat.T)
 
-    def test_relaxed_subset(self):
-        mats = build_constraint_matrices(build_h(5), 5, relaxed_only=True)
-        assert set(mats.A) == {(1, 2), (2, 3), (3, 4), (4, 5)}
-        assert set(mats.B) == {5}
-
     def test_accelerated_trace_gram_data_is_feasible(self, rng):
         # Same feasibility check driven by the certified coefficients on a
         # random monotone operator: validates every A and B matrix against

@@ -18,12 +18,14 @@ from proxpoint import (
     basis_pursuit_instance,
     basis_pursuit_solution,
     bilinear_game_instance,
+    check_monotone,
     difference_matrix,
     drs,
     fista_strongly_convex,
     forward_method,
     linear_resolvent,
     operator_norm,
+    optimal_restart_interval,
     pdhg,
     pdhg_preconditioner,
     ppm,
@@ -60,6 +62,33 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold([1.0], -0.1)
+
+
+_W = np.array([1.0, 2.0, 3.0])
+_FISTA_PART = (np.eye(3), np.ones(3), 1.0, 1.0)
+
+
+class TestStepAndWeightParameters:
+    """A step, weight or tolerance that is nan, inf or negative is refused
+    with a ValueError naming it, before it can turn the output into nan."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("name,call", [
+        ("tau", lambda v: soft_threshold([1.0, 2.0], v)),
+        ("weight", lambda v: ProxDescriptor.l1(3, v)),
+        ("t", lambda v: ProxDescriptor.l1(3, 1.0).prox(_W, v)),
+        ("t", lambda v: ProxDescriptor.linear(_W).prox(_W, v)),
+        ("beta", lambda v: forward_method(lambda y: y, v, _W, 3)),
+        ("lam", lambda v: optimal_restart_interval(v, 1.0)),
+        ("mu", lambda v: optimal_restart_interval(1.0, v)),
+        ("mu", lambda v: check_monotone(np.eye(3), mu=v)),
+        ("tol", lambda v: fista_strongly_convex(_FISTA_PART, 0.1, np.zeros(3), tol=v)),
+    ], ids=["soft_threshold", "l1_weight", "l1_prox", "linear_prox", "forward_method",
+            "restart_lam", "restart_mu", "check_monotone", "fista_tol"])
+    def test_non_finite_or_negative_is_a_value_error(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a (positive|nonnegative) real"):
+            call(value)
 
 
 class TestDifferenceMatrix:
