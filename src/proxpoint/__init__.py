@@ -13,11 +13,8 @@ _EXPORTS = {
     "operators": (
         "DenseLinearOperator",
         "InnerSolverError",
-        "MonotonicityReport",
-        "Preconditioner",
         "QuadraticSaddle",
         "SingularSystemError",
-        "check_monotone",
         "linear_resolvent",
         "preconditioned_resolvent_map",
         "saddle_resolvent_map",
@@ -55,7 +52,6 @@ _EXPORTS = {
         "fista_strongly_convex",
         "operator_norm",
         "pdhg",
-        "pdhg_preconditioner",
         "soft_threshold",
     ),
     "problems": (

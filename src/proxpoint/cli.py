@@ -104,13 +104,18 @@ def _expand_methods(config):
 
 
 def _radius_line(engine, reference, radius, source):
-    """Header line for the bound radius ``R``; returns it with the ``R`` to
-    bound by, which is ``None`` when the reference point fails its check.
+    """Header line for the bound radius ``R = radius()``; returns it with the
+    ``R`` to bound by, which is ``None`` when the reference point fails its
+    check.
 
     The check is the root of the engine's own residual after one plain step
     from the reference point: zero, up to rounding, at a true fixed point.
+    It runs first, so an engine that refuses its parameters reports that
+    before ``radius()`` runs (fig4's norm is indefinite when pdhg's step
+    condition fails).
     """
     check = math.sqrt(engine(*reference, 1, "plain").residuals[0])
+    radius = radius()
     line = f"# R={_fmt(radius)} R_source={source} fixed_point_check={_fmt(check)}"
     if check <= FIXED_POINT_TOL * max(1.0, radius):
         return line, radius
@@ -188,9 +193,10 @@ def _run_prox_mult_experiment(config):
                                lam)
     u0, v0 = np.zeros(p["d1"]), np.zeros(p["d2"])
     u_star, v_star = basis_pursuit_solution(inst["A"], inst["b"])
-    radius = float(np.linalg.norm(np.concatenate([u0 - u_star, v0 - v_star])))
-    line, radius = _radius_line(engine, (u_star, v_star), radius,
-                                "exact (KKT point of the basis pursuit LP)")
+    line, radius = _radius_line(
+        engine, (u_star, v_star),
+        lambda: float(np.linalg.norm(np.concatenate([u0 - u_star, v0 - v_star]))),
+        "exact (KKT point of the basis pursuit LP)")
     meta = [f"# problem=basis_pursuit d1={p['d1']} d2={p['d2']} seed={seed}"
             f" lam={_fmt(lam)} iters={p['iters']} x0=0", line]
     return meta, engine, (u0, v0), radius
@@ -217,9 +223,10 @@ def _run_pdhg_experiment(config):
     k_du = k @ (u0 - inst["u_star"])
     du = k.T @ np.linalg.solve(k @ k.T, k_du)
     dv = v0 - inst["v_star"]
-    radius = math.sqrt(du @ du / tau - 2.0 * (k_du @ dv) + dv @ dv / sigma)
-    line, radius = _radius_line(engine, (u0 - du, inst["v_star"]), radius,
-                                "exact (nearest point of the planted saddle set)")
+    line, radius = _radius_line(
+        engine, (u0 - du, inst["v_star"]),
+        lambda: math.sqrt(du @ du / tau - 2.0 * (k_du @ dv) + dv @ dv / sigma),
+        "exact (nearest point of the planted saddle set)")
     meta = [f"# problem=bilinear_game d1={p['d1']} d2={p['d2']} seed={seed}"
             f" tau={_fmt(tau)} sigma={_fmt(sigma)} norm_K={_fmt(norm_k)}"
             f" iters={p['iters']} x0=all-tens residual=preconditioned", line]
@@ -243,7 +250,7 @@ def _run_admm_experiment(config):
     eta0 = nu0 + rho * (cons.A @ x0 - cons.c)
     eta_star = nu_star + rho * (cons.A @ x_star - cons.c)
     line, radius = _radius_line(engine, (x_star, cons.A @ x_star, nu_star),
-                                float(np.linalg.norm(eta0 - eta_star)),
+                                lambda: float(np.linalg.norm(eta0 - eta_star)),
                                 "exact (KKT point of the TV least-squares problem)")
     meta = [f"# problem=tv_least_squares d1={p['d1']} p={p['p']} seed={seed}"
             f" gamma={_fmt(gamma)} rho={_fmt(rho)}"

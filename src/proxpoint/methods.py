@@ -84,9 +84,9 @@ class ResidualTrace:
     ``restarts`` lists the global iteration indices after which the engine
     re-initialized. ``gaps`` holds saddle gaps when a saddle point was
     supplied and ``infeasibility`` the ADMM constraint violation
-    ``||A x_{i+1} + B z_i - c||^2``. ``iterates`` holds ``x`` and ``y``,
-    the arrays ``xs`` and ``ys``; ADMM replaces ``x`` by its primal
-    iterates and adds ``z``, ``nu_hat`` and ``eta_hat``.
+    ``||A x_{i+1} + B z_i - c||^2``. ``iterates`` is empty except on
+    ADMM, which fills it with its primal iterates ``x`` and ``z`` and its
+    multipliers ``nu_hat`` and ``eta_hat``.
     """
 
     iterations: np.ndarray
@@ -255,8 +255,7 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
     if R is not None and rate is not None and not adaptive and interval >= iters:
         # Python ints, not numpy scalars: the same floats, about 8x faster.
         bounds = np.fromiter((rate(R, i) for i in range(1, iters + 1)), float, iters)
-    return ResidualTrace(np.arange(1, iters + 1), residuals, bounds, xs, ys, restarts,
-                         iterates={"x": xs, "y": ys})
+    return ResidualTrace(np.arange(1, iters + 1), residuals, bounds, xs, ys, restarts)
 
 
 def ppm_rate_bound(R, i):
@@ -346,22 +345,13 @@ def restarted(resolvent, x0, interval, iters, adaptive=False, R=None):
     return iterate(resolvent, x0, iters, "proposed", "adaptive" if adaptive else interval, R)
 
 
-def optimal_restart_interval(lam, mu, mode="operator"):
-    """Restart interval minimizing the overall linear rate.
-
-    ``round(e / (lam * mu))`` for the operator residual, half that for
-    function-value (saddle gap) restarting, both clamped to >= 1.
-    """
+def optimal_restart_interval(lam, mu):
+    """Restart interval minimizing the overall linear rate of the operator
+    residual: ``round(e / (lam * mu))``, clamped to >= 1."""
     _check_positive(lam, "lam")
     _check_positive(mu, "mu")
     _check_positive(lam * mu, "lam * mu")
-    if mode == "operator":
-        k = math.e / (lam * mu)
-    elif mode == "function":
-        k = math.e / (2.0 * lam * mu)
-    else:
-        raise ValueError(f"mode must be 'operator' or 'function', got {mode!r}")
-    return max(1, round(k))
+    return max(1, round(math.e / (lam * mu)))
 
 
 def forward_method(operator, beta, y0, iters, variant="plain", restart=None, R=None):

@@ -1,5 +1,5 @@
 """Dense monotone-operator abstractions: resolvents, preconditioned and
-saddle resolvents, Yosida regularization, and monotonicity checks.
+saddle resolvents, and Yosida regularization.
 
 Everything here acts on finite-dimensional real coordinate vectors
 (1-D float ndarrays). Operators are plain square matrices; an operator
@@ -22,11 +22,8 @@ __all__ = [
     "SingularSystemError",
     "InnerSolverError",
     "DenseLinearOperator",
-    "Preconditioner",
     "QuadraticSaddle",
-    "MonotonicityReport",
     "as_vector",
-    "check_monotone",
     "linear_resolvent",
     "preconditioned_resolvent_map",
     "saddle_resolvent_map",
@@ -35,6 +32,8 @@ __all__ = [
 
 # Pivots below this are treated as a singular resolvent system.
 PIVOT_TOL = 1e-14
+# Largest entrywise asymmetry accepted in a matrix that must be symmetric.
+SYMMETRY_TOL = 1e-12
 
 
 class SingularSystemError(RuntimeError):
@@ -110,76 +109,8 @@ class DenseLinearOperator:
     def __call__(self, x):
         return self.entries @ as_vector(x)
 
-    def symmetric_part(self):
-        return 0.5 * (self.entries + self.entries.T)
-
     def __repr__(self):
         return f"DenseLinearOperator(dim={self.dim})"
-
-
-class Preconditioner:
-    """Symmetric positive-definite matrix defining a weighted inner product."""
-
-    SYMMETRY_TOL = 1e-12
-
-    def __init__(self, entries):
-        p = _square_matrix(entries, name="preconditioner")
-        if np.max(np.abs(p - p.T)) > self.SYMMETRY_TOL:
-            raise ValueError("preconditioner must be symmetric")
-        if _min_eigenvalue(0.5 * (p + p.T)) <= 0:
-            raise ValueError("preconditioner must be positive definite")
-        self.entries = p
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-    def quad(self, x):
-        """Weighted squared norm ``<P x, x>``."""
-        x = as_vector(x)
-        return float(x @ (self.entries @ x))
-
-
-class MonotonicityReport:
-    """Outcome of a monotonicity check: verdict plus the eigenvalue evidence."""
-
-    __slots__ = ("is_monotone", "min_eigenvalue", "mu")
-
-    def __init__(self, is_monotone, min_eigenvalue, mu):
-        self.is_monotone = bool(is_monotone)
-        self.min_eigenvalue = float(min_eigenvalue)
-        self.mu = float(mu)
-
-    def __bool__(self):
-        return self.is_monotone
-
-    def __repr__(self):
-        return (f"MonotonicityReport(is_monotone={self.is_monotone}, "
-                f"min_eigenvalue={self.min_eigenvalue!r}, mu={self.mu!r})")
-
-
-def check_monotone(op, mu=0.0):
-    """Check (strong) monotonicity of a dense linear operator.
-
-    ``M`` is mu-strongly monotone iff the smallest eigenvalue of its
-    symmetric part is at least ``mu``; the check allows a 1e-10 slack.
-
-    Parameters
-    ----------
-    op : DenseLinearOperator or square ndarray
-    mu : float
-        Strong-monotonicity modulus to test against (0 tests plain
-        monotonicity).
-
-    Returns
-    -------
-    MonotonicityReport
-        Truthy iff the test passes; carries the minimum eigenvalue.
-    """
-    _check_nonnegative(mu, "mu")
-    m = _entries(op)
-    lam_min = _min_eigenvalue(0.5 * (m + m.T))
-    return MonotonicityReport(lam_min >= mu - 1e-10, lam_min, mu)
 
 
 @functools.cache
@@ -317,15 +248,18 @@ def linear_resolvent(op, lam):
 
 
 def preconditioned_resolvent_map(op, precond, lam):
-    """Preconditioned resolvent ``y -> (P + lam*M)^{-1} P y``, factored once."""
+    """Preconditioned resolvent ``y -> (P + lam*M)^{-1} P y``, factored once;
+    ``precond`` is ``P``, a symmetric positive-definite matrix."""
     lam = _check_positive(lam)
-    if not isinstance(precond, Preconditioner):
-        precond = Preconditioner(precond)
+    p = _square_matrix(precond, name="preconditioner")
+    if np.max(np.abs(p - p.T)) > SYMMETRY_TOL:
+        raise ValueError("preconditioner must be symmetric")
+    if _min_eigenvalue(0.5 * (p + p.T)) <= 0:
+        raise ValueError("preconditioner must be positive definite")
     m = _entries(op)
-    if m.shape != precond.entries.shape:
+    if m.shape != p.shape:
         raise ValueError("operator and preconditioner dimensions differ")
-    solve = _factor(precond.entries + lam * m)
-    p = precond.entries
+    solve = _factor(p + lam * m)
 
     def apply(y):
         return solve(p @ as_vector(y))
@@ -353,7 +287,7 @@ class QuadraticSaddle:
         if self.k.shape != (d2, d1):
             raise ValueError(f"K must have shape ({d2}, {d1}), got {self.k.shape}")
         for name, q in (("Quu", self.q_uu), ("Qvv", self.q_vv)):
-            if np.max(np.abs(q - q.T)) > Preconditioner.SYMMETRY_TOL:
+            if np.max(np.abs(q - q.T)) > SYMMETRY_TOL:
                 raise ValueError(f"{name} must be symmetric")
             if _min_eigenvalue(q) < -self.PSD_TOL:
                 raise ValueError(f"{name} must be positive semidefinite")
@@ -401,13 +335,6 @@ class QuadraticSaddle:
         top = np.hstack([self.q_uu, self.k.T])
         bottom = np.hstack([-self.k, self.q_vv])
         return DenseLinearOperator(np.vstack([top, bottom])), np.concatenate([self.a, self.b])
-
-    def saddle_point(self):
-        """Unique stationary point; requires the stacked system to be nonsingular."""
-        linear, shift = self.stacked_operator()
-        sol = _factor(linear.entries)(-shift)
-        d1 = self.q_uu.shape[0]
-        return sol[:d1], sol[d1:]
 
 
 def saddle_resolvent_map(phi, lam):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import iterate
-from .operators import (InnerSolverError, Preconditioner, _check_nonnegative,
-                        _check_positive, _factor, as_vector, saddle_resolvent_map)
+from .operators import (InnerSolverError, _check_nonnegative, _check_positive, _factor,
+                        as_vector, saddle_resolvent_map)
 
 __all__ = [
     "ProxDescriptor",
@@ -31,7 +31,6 @@ __all__ = [
     "accelerated_saddle_ppm",
     "accelerated_prox_multipliers",
     "pdhg",
-    "pdhg_preconditioner",
     "drs",
     "admm",
 ]
@@ -298,16 +297,6 @@ def accelerated_prox_multipliers(f, a_mat, b, lam, u0, v0, iters, variant="propo
 
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
     return iterate(step, x0, iters, variant, restart, R)
-
-
-def pdhg_preconditioner(k, tau, sigma):
-    """PDHG preconditioner ``[[I/tau, -K'], [-K, I/sigma]]`` as a
-    Preconditioner (positive definite when ``tau sigma ||K||^2 < 1``)."""
-    k = np.asarray(k, dtype=float)
-    d2, d1 = k.shape
-    top = np.hstack([np.eye(d1) / tau, -k.T])
-    bottom = np.hstack([-k, np.eye(d2) / sigma])
-    return Preconditioner(np.vstack([top, bottom]))
 
 
 def pdhg(f, g, k, tau, sigma, u0, v0, iters, variant="proposed", restart=None,

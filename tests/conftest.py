@@ -52,6 +52,13 @@ def run_fresh(*args, env=None, **kwargs):
                           text=True, timeout=120, **kwargs)
 
 
+def pdhg_matrix(k, tau, sigma):
+    """PDHG's preconditioner ``[[I/tau, -K'], [-K, I/sigma]]``, positive
+    definite exactly when ``tau sigma ||K||^2 < 1``."""
+    d2, d1 = k.shape
+    return np.block([[np.eye(d1) / tau, -k.T], [-k, np.eye(d2) / sigma]])
+
+
 def lu_solve_factor(system):
     """Stand-in for ``operators._factor`` that solves through
     ``scipy.linalg.lu_solve``: the reference for bit-identity checks."""
@@ -203,8 +210,7 @@ def reference_iterate(step, x0, iters, variant, interval=None, adaptive=False,
         bounds = np.array([rate(R, i) for i in range(1, iters + 1)])
     xs, ys = np.array(xs), np.array(ys)
     return ResidualTrace(idx, np.array(residuals), bounds, xs, ys, restarts,
-                         gaps=np.array(gaps) if gap is not None else None,
-                         iterates={"x": xs, "y": ys})
+                         gaps=np.array(gaps) if gap is not None else None)
 
 
 # Per-kind subproblem solvers of the splitting engines before they shared

@@ -19,13 +19,11 @@ from proxpoint import (
     accelerated_saddle_ppm,
     admm,
     bilinear_game_instance,
-    drs,
     equivalence_check,
     guler,
     linear_resolvent,
     operator_norm,
     pdhg,
-    pdhg_preconditioner,
     ppm,
     restarted,
     rotation_worst_case,
@@ -35,7 +33,7 @@ from proxpoint import (
     verify_certificate,
     yosida,
 )
-from conftest import random_monotone_operator
+from conftest import pdhg_matrix, random_monotone_operator
 
 START = np.array([1.0, 0.0])
 
@@ -175,9 +173,9 @@ def test_criterion_08_pdhg_preconditioned_bound():
     g = ProxDescriptor.linear(inst["b"])
     u0, v0 = np.full(50, 10.0), np.full(25, 10.0)
     oracle = pdhg(f, g, k, tau, sigma, u0, v0, 10_000, variant="plain")
-    precond = pdhg_preconditioner(k, tau, sigma)
-    x0 = np.concatenate([u0, v0])
-    radius2 = precond.quad(x0 - oracle.iterates["x"][-1])
+    p = pdhg_matrix(k, tau, sigma)
+    dx = np.concatenate([u0, v0]) - oracle.xs[-1]
+    radius2 = dx @ p @ dx
     trace = pdhg(f, g, k, tau, sigma, u0, v0, 200)
     worst = float(np.max(trace.residuals * trace.iterations.astype(float) ** 2))
     ratio = worst / radius2
@@ -277,7 +275,8 @@ def test_criterion_11_saddle_gap_bound():
                               rng.normal_matrix(d2, d1),
                               b2 @ b2.T / d2 + mu * np.eye(d2),
                               a=rng.normals(d1), b=rng.normals(d2))
-        u_star, v_star = phi.saddle_point()
+        linear, shift = phi.stacked_operator()
+        u_star, v_star = np.split(np.linalg.solve(linear.entries, -shift), [d1])
         lam = (0.1, 1.0, 10.0)[s % 3]
         u0, v0 = rng.normals(d1), rng.normals(d2)
         trace = accelerated_saddle_ppm(phi, lam, u0, v0, 100,

@@ -7,7 +7,7 @@ import pytest
 
 import proxpoint
 from proxpoint import cli, operators, splitting
-from conftest import FailingEigenLapack, run_fresh
+from conftest import FailingEigenLapack, pdhg_matrix, run_fresh
 from proxpoint.problems import PRESETS
 
 
@@ -276,9 +276,8 @@ class TestReferenceSolutions:
         g = proxpoint.ProxDescriptor.linear(inst["b"])
         u0, v0 = np.full(50, 10.0), np.full(25, 10.0)
         oracle = proxpoint.pdhg(f, g, k, tau, sigma, u0, v0, 10_000, variant="plain")
-        precond = proxpoint.pdhg_preconditioner(k, tau, sigma)
-        oracle_radius = np.sqrt(precond.quad(np.concatenate([u0, v0])
-                                             - oracle.iterates["x"][-1]))
+        dx = np.concatenate([u0, v0]) - oracle.xs[-1]
+        oracle_radius = np.sqrt(dx @ pdhg_matrix(k, tau, sigma) @ dx)
         assert radius == pytest.approx(oracle_radius, rel=1e-9)
 
     def test_fig5_desk_radius_matches_plain_oracle(self, tmp_path):
@@ -451,6 +450,18 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write --out {target}: {reason}")
         assert err.count("\n") == 1
         assert not target.is_file()
+
+    @pytest.mark.parametrize("step", ["1", "100"])
+    def test_fig4_steps_pdhg_refuses_exit_1_with_its_message(self, tmp_path, capsys, step):
+        # Far outside tau*sigma*||K||^2 < 1 the preconditioned norm that R
+        # is measured in is indefinite, so pdhg's check must run before it.
+        code, out = run_cli(tmp_path, "--experiment", "fig4-desk", "--tau", step,
+                            "--sigma", step)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: need tau*sigma*||K||^2 < 1, got ")
+        assert err.count("\n") == 1
 
     def test_success_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "--experiment", "fig1", "--iters", "2",

@@ -232,17 +232,14 @@ class TestRestartSetting:
 
 class TestOptimalRestartInterval:
     def test_full_scale_values(self):
-        assert optimal_restart_interval(1.0, 0.02, "operator") == 136
-        assert optimal_restart_interval(1.0, 0.02, "function") == 68
+        assert optimal_restart_interval(1.0, 0.02) == 136
 
     def test_clamped_to_one(self):
-        assert optimal_restart_interval(1.0, 10.0, "operator") == 1
+        assert optimal_restart_interval(1.0, 10.0) == 1
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             optimal_restart_interval(1.0, 0.0)
-        with pytest.raises(ValueError):
-            optimal_restart_interval(1.0, 0.1, "blend")
 
 
 class TestForwardMethod:
@@ -424,11 +421,13 @@ class TestTraceArrays:
         f, g = ProxDescriptor.quadratic(h, rng.normals(4)), ProxDescriptor.quadratic(g_mat)
         tau = sigma = 0.7 / operator_norm(k)
         u0, v0 = rng.normals(2), rng.normals(3)
+        linear, shift = phi.stacked_operator()
+        saddle = np.split(np.linalg.solve(linear.entries, -shift), [2])
 
         def runs():
             return [
                 accelerated_saddle_ppm(phi, 0.9, u0, v0, 150, variant, restart, R=2.0,
-                                       saddle=phi.saddle_point()),
+                                       saddle=saddle),
                 pdhg(f, g, k, tau, sigma, u0, v0, 150, variant, restart, R=2.0),
             ]
 

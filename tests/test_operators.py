@@ -10,11 +10,9 @@ from scipy.linalg import lu_factor
 
 from proxpoint import (
     DenseLinearOperator,
-    Preconditioner,
     QuadraticSaddle,
     SingularSystemError,
     SplitMix64,
-    check_monotone,
     linear_resolvent,
     preconditioned_resolvent_map,
     saddle_resolvent_map,
@@ -98,10 +96,10 @@ class TestPreconditionedResolvent:
                         [1.0, 0.5], rtol=1e-14)
 
     def test_preconditioner_validation(self):
-        with pytest.raises(ValueError):
-            Preconditioner([[1.0, 0.5], [0.4, 1.0]])  # not symmetric
-        with pytest.raises(ValueError):
-            Preconditioner([[1.0, 0.0], [0.0, -0.1]])  # not PD
+        with pytest.raises(ValueError, match="symmetric"):
+            preconditioned_resolvent_map(np.eye(2), [[1.0, 0.5], [0.4, 1.0]], 1.0)
+        with pytest.raises(ValueError, match="positive definite"):
+            preconditioned_resolvent_map(np.eye(2), [[1.0, 0.0], [0.0, -0.1]], 1.0)
 
 
 class TestSaddleResolvent:
@@ -178,29 +176,11 @@ class TestYosida:
             assert (y1 - y2) @ d >= lam * (d @ d) - 1e-10
 
 
-class TestCheckMonotone:
-    def test_skew_is_monotone(self):
-        report = check_monotone(DenseLinearOperator(ROTATION))
-        assert report
-        assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-14)
-
-    def test_toy_modulus_is_exactly_mu(self):
-        op = strongly_monotone_toy(100, 1.0, 0.02)
-        assert check_monotone(op, mu=0.02)
-        assert not check_monotone(op, mu=0.021)
-
-    def test_negative_definite_fails(self):
-        assert not check_monotone(np.array([[-1.0]]))
-
-    def test_rejects_negative_mu(self):
-        with pytest.raises(ValueError):
-            check_monotone(np.eye(2), mu=-0.5)
-
-
+# Every caller of operators._min_eigenvalue.
 EIGENVALUE_CHECKS = [
-    lambda: check_monotone(np.eye(3)),
-    lambda: Preconditioner(np.eye(3)),
+    lambda: preconditioned_resolvent_map(np.zeros((3, 3)), np.eye(3), 1.0),
     lambda: QuadraticSaddle(np.eye(2), np.ones((1, 2)), np.eye(1)),
+    lambda: verify_certificate(3),
 ]
 
 
@@ -344,7 +324,7 @@ class TestFactoredSolve:
             pre = preconditioned_resolvent_map(op, precond, 0.7)
             saddle = saddle_resolvent_map(phi, 0.7)
             return ([plain(y) for y in ys] + [pre(y) for y in ys]
-                    + [saddle(y) for y in stacked] + list(phi.saddle_point()))
+                    + [saddle(y) for y in stacked])
 
         direct = outputs()
         monkeypatch.setattr(operators, "_factor", lu_solve_factor)

@@ -11,7 +11,6 @@ from proxpoint import (
     ProxDescriptor,
     SplitMix64,
     DenseLinearOperator,
-    Preconditioner,
     QuadraticSaddle,
     accelerated_ppm,
     admm,
@@ -218,12 +217,12 @@ def test_preconditioned_resolvent_is_firmly_nonexpansive_in_the_p_norm(
     rng = SplitMix64(seed)
     op = random_monotone_operator(rng, dim, strength)
     b = rng.normal_matrix(dim, dim)
-    precond = Preconditioner(b @ b.T + 10.0 ** log_shift * np.eye(dim))
+    precond = b @ b.T + 10.0 ** log_shift * np.eye(dim)
     resolvent = preconditioned_resolvent_map(op, precond, 10.0 ** log_lam)
     x, y = rng.normals(dim), rng.normals(dim)
 
     def inner(u, v):
-        return u @ (precond.entries @ v)
+        return u @ (precond @ v)
 
     assert _firm_defect(resolvent, inner, x, y) <= FIRM_SLACK
 

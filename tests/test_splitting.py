@@ -18,7 +18,6 @@ from proxpoint import (
     basis_pursuit_instance,
     basis_pursuit_solution,
     bilinear_game_instance,
-    check_monotone,
     difference_matrix,
     drs,
     fista_strongly_convex,
@@ -27,8 +26,8 @@ from proxpoint import (
     operator_norm,
     optimal_restart_interval,
     pdhg,
-    pdhg_preconditioner,
     ppm,
+    preconditioned_resolvent_map,
     soft_threshold,
     strongly_monotone_toy,
     toy_saddle,
@@ -40,6 +39,7 @@ from proxpoint.methods import Momentum, _euclidean_sq, iterate
 from proxpoint.problems import PRESETS
 from conftest import (
     lu_solve_factor,
+    pdhg_matrix,
     random_monotone_operator,
     reference_admm_x_solver,
     reference_admm_z_solver,
@@ -66,6 +66,7 @@ class TestSoftThreshold:
 
 _W = np.array([1.0, 2.0, 3.0])
 _FISTA_PART = (np.eye(3), np.ones(3), 1.0, 1.0)
+_ZERO1 = ProxDescriptor.zero(1)
 
 
 class TestStepAndWeightParameters:
@@ -82,10 +83,12 @@ class TestStepAndWeightParameters:
         ("beta", lambda v: forward_method(lambda y: y, v, _W, 3)),
         ("lam", lambda v: optimal_restart_interval(v, 1.0)),
         ("mu", lambda v: optimal_restart_interval(1.0, v)),
-        ("mu", lambda v: check_monotone(np.eye(3), mu=v)),
         ("tol", lambda v: fista_strongly_convex(_FISTA_PART, 0.1, np.zeros(3), tol=v)),
+        ("tau", lambda v: pdhg(_ZERO1, _ZERO1, [[1.0]], v, 0.5, [0.0], [0.0], 2)),
+        ("sigma", lambda v: pdhg(_ZERO1, _ZERO1, [[1.0]], 0.5, v, [0.0], [0.0], 2)),
+        ("rho", lambda v: drs(lambda y: y, lambda y: y, v, _W, 3)),
     ], ids=["soft_threshold", "l1_weight", "l1_prox", "linear_prox", "forward_method",
-            "restart_lam", "restart_mu", "check_monotone", "fista_tol"])
+            "restart_lam", "restart_mu", "fista_tol", "pdhg_tau", "pdhg_sigma", "drs_rho"])
     def test_non_finite_or_negative_is_a_value_error(self, name, call, value):
         with pytest.raises(ValueError, match=f"^{name} must be a (positive|nonnegative) real"):
             call(value)
@@ -201,7 +204,7 @@ class TestSaddlePPM:
         op = strongly_monotone_toy(100, 1.0, 0.02)
         trace_s = accelerated_saddle_ppm(phi, 1.0, [1.0], [0.0], 60)
         trace_o = accelerated_ppm(linear_resolvent(op, 1.0), [1.0, 0.0], 60)
-        assert np.max(np.abs(trace_s.iterates["x"] - trace_o.xs)) <= 1e-13
+        assert np.max(np.abs(trace_s.xs - trace_o.xs)) <= 1e-13
         assert_allclose(trace_s.residuals, trace_o.residuals, rtol=1e-10)
 
     def test_zero_saddle_is_stationary(self):
@@ -227,7 +230,8 @@ class TestSaddlePPM:
                                   rng.normal_matrix(d2, d1),
                                   b2 @ b2.T / d2 + 0.1 * np.eye(d2),
                                   a=rng.normals(d1), b=rng.normals(d2))
-            u_star, v_star = phi.saddle_point()
+            linear, shift = phi.stacked_operator()
+            u_star, v_star = np.split(np.linalg.solve(linear.entries, -shift), [d1])
             lam = (0.2, 1.0, 5.0)[trial % 3]
             u0, v0 = rng.normals(d1), rng.normals(d2)
             trace = accelerated_saddle_ppm(phi, lam, u0, v0, 100,
@@ -257,7 +261,7 @@ class TestProxMultipliers:
         u0, v0 = np.zeros(4), np.zeros(4)
         oracle = accelerated_prox_multipliers(f, a, b, 1.0, u0, v0, 10_000,
                                               variant="plain")
-        x_star = oracle.iterates["x"][-1]
+        x_star = oracle.xs[-1]
         radius = np.linalg.norm(np.concatenate([u0, v0]) - x_star)
         trace = accelerated_prox_multipliers(f, a, b, 1.0, u0, v0, 100)
         scaled = trace.residuals * trace.iterations.astype(float) ** 2
@@ -313,9 +317,14 @@ class TestProxMultipliers:
 
 class TestPDHG:
     def test_scalar_preconditioner_eigenvalues(self):
-        precond = pdhg_preconditioner(np.array([[1.0]]), 0.5, 0.5)
-        assert_allclose(precond.entries, [[2.0, -1.0], [-1.0, 2.0]])
-        assert_allclose(np.linalg.eigvalsh(precond.entries), [1.0, 3.0])
+        # tau*sigma*||K||^2 = 1/4: P is positive definite, the preconditioned
+        # resolvent of the zero operator is the identity, and pdhg runs.
+        precond = pdhg_matrix(np.array([[1.0]]), 0.5, 0.5)
+        assert_allclose(precond, [[2.0, -1.0], [-1.0, 2.0]])
+        assert_allclose(np.linalg.eigvalsh(precond), [1.0, 3.0])
+        y = np.array([0.3, -1.7])
+        assert_allclose(preconditioned_resolvent_map(np.zeros((2, 2)), precond, 1.0)(y), y)
+        pdhg(_ZERO1, _ZERO1, [[1.0]], 0.5, 0.5, [0.0], [0.0], 2)
 
     def test_zero_coupling_stationary(self):
         f = ProxDescriptor.zero(2)
@@ -337,7 +346,7 @@ class TestPDHG:
         d = difference_matrix(40)
         tau = sigma = 1.0002 / np.linalg.svd(d, compute_uv=False)[0]
         with pytest.raises(ValueError, match="positive definite"):
-            pdhg_preconditioner(d, tau, sigma)
+            preconditioned_resolvent_map(np.zeros((79, 79)), pdhg_matrix(d, tau, sigma), 1.0)
         with pytest.raises(ValueError, match="tau\\*sigma"):
             pdhg(ProxDescriptor.zero(40), ProxDescriptor.zero(39), d, tau, sigma,
                  np.zeros(40), np.zeros(39), 2)
@@ -374,23 +383,21 @@ class TestPDHG:
         phi = QuadraticSaddle(h.T @ h, k, g_mat.T @ g_mat,
                               a=-h.T @ d, b=-g_mat.T @ e)
         linear, shift = phi.stacked_operator()
-        precond = pdhg_preconditioner(k, tau, sigma)
-        factors = lu_factor(precond.entries + linear.entries)
+        precond = pdhg_matrix(k, tau, sigma)
+        factors = lu_factor(precond + linear.entries)
         u0, v0 = rng.normals(4), rng.normals(3)
         trace = pdhg(f, g, k, tau, sigma, u0, v0, 20)
         mom = Momentum("proposed")
         x = y = y_prev = np.concatenate([u0, v0])
         for i in range(20):
-            x_new = lu_solve(factors, precond.entries @ y - shift)
-            assert np.max(np.abs(x_new - trace.iterates["x"][i + 1])) <= 1e-10
+            x_new = lu_solve(factors, precond @ y - shift)
+            assert np.max(np.abs(x_new - trace.xs[i + 1])) <= 1e-10
             y_new = mom.update(x_new, x, y, y_prev)
             x, y_prev, y = x_new, y, y_new
 
     def test_homogeneous_case_uses_preconditioned_resolvent_directly(self, rng):
         # Without linear terms the identity is literally the module's
         # preconditioned resolvent map applied to the stacked operator.
-        from proxpoint import preconditioned_resolvent_map
-
         h = rng.normal_matrix(5, 4)
         g_mat = rng.normal_matrix(4, 3)
         k = rng.normal_matrix(3, 4)
@@ -399,15 +406,14 @@ class TestPDHG:
         tau = sigma = 0.6 / operator_norm(k)
         phi = QuadraticSaddle(h.T @ h, k, g_mat.T @ g_mat)
         linear, _ = phi.stacked_operator()
-        precond = pdhg_preconditioner(k, tau, sigma)
-        resolvent = preconditioned_resolvent_map(linear, precond, 1.0)
+        resolvent = preconditioned_resolvent_map(linear, pdhg_matrix(k, tau, sigma), 1.0)
         u0, v0 = rng.normals(4), rng.normals(3)
         trace = pdhg(f, g, k, tau, sigma, u0, v0, 15)
         mom = Momentum("proposed")
         x = y = y_prev = np.concatenate([u0, v0])
         for i in range(15):
             x_new = resolvent(y)
-            assert np.max(np.abs(x_new - trace.iterates["x"][i + 1])) <= 1e-10
+            assert np.max(np.abs(x_new - trace.xs[i + 1])) <= 1e-10
             y_new = mom.update(x_new, x, y, y_prev)
             x, y_prev, y = x_new, y, y_new
 
@@ -433,7 +439,7 @@ class TestDRS:
         nu0 = rng.normals(5)
         trace_d = drs(resolvent, lambda y: y, 0.8, nu0, 30, variant="plain")
         trace_p = ppm(resolvent, nu0, 30)
-        assert np.max(np.abs(trace_d.iterates["x"] - trace_p.xs)) <= 1e-14
+        assert np.max(np.abs(trace_d.xs - trace_p.xs)) <= 1e-14
 
     def test_identity_first_block_reduces_to_ppm_on_second(self, rng):
         # With M1 = 0 the operator collapses to J2: G = (2 J2 - I) + I - J2.
@@ -442,7 +448,7 @@ class TestDRS:
         nu0 = rng.normals(5)
         trace_d = drs(lambda y: y, resolvent, 0.8, nu0, 30, variant="plain")
         trace_p = ppm(resolvent, nu0, 30)
-        assert np.max(np.abs(trace_d.iterates["x"] - trace_p.xs)) <= 1e-14
+        assert np.max(np.abs(trace_d.xs - trace_p.xs)) <= 1e-14
 
     def test_operator_is_firmly_nonexpansive(self, rng):
         op1 = random_monotone_operator(rng, 5)
@@ -466,7 +472,7 @@ class TestDRS:
         j2 = linear_resolvent(op2, 0.8)
         nu0 = rng.normals(4)
         oracle = drs(j1, j2, 0.8, nu0, 10_000, variant="plain")
-        nu_star = oracle.iterates["x"][-1]
+        nu_star = oracle.xs[-1]
         radius2 = float(np.sum((nu0 - nu_star) ** 2))
         trace = drs(j1, j2, 0.8, nu0, 100)
         scaled = trace.residuals * trace.iterations.astype(float) ** 2
