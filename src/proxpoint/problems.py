@@ -432,21 +432,16 @@ def tv_solution(h, b, gamma):
 # Named experiment setups: full-scale figure presets plus desk-scale
 # variants small enough for CI.
 PRESETS = {
-    "fig1": {"problem": "rotation", "n": 100, "lam": 1.0, "iters": 100},
-    "fig2": {"problem": "strongly_monotone_toy", "n": 100, "lam": 1.0,
-             "mu": 0.02, "iters": 200, "restarts": (17, 34, 68, 136)},
-    "fig3": {"problem": "basis_pursuit", "d1": 100, "d2": 20, "lam": 0.01,
-             "iters": 100, "seed": 1, "restarts": (30,)},
-    "fig4": {"problem": "bilinear_game", "d1": 1000, "d2": 500, "iters": 100,
-             "seed": 1, "step_fraction": 0.99, "restarts": (10,)},
-    "fig5": {"problem": "tv_least_squares", "d1": 100, "p": 5, "gamma": 3.0,
-             "rho": 0.05, "iters": 500, "seed": 1, "noise_scale": 0.1,
-             "restarts": (20,)},
-    "fig3-desk": {"problem": "basis_pursuit", "d1": 40, "d2": 10, "lam": 0.01,
-                  "iters": 60, "seed": 1, "restarts": (30,)},
-    "fig4-desk": {"problem": "bilinear_game", "d1": 50, "d2": 25, "iters": 100,
-                  "seed": 1, "step_fraction": 0.99, "restarts": (10,)},
-    "fig5-desk": {"problem": "tv_least_squares", "d1": 40, "p": 5, "gamma": 3.0,
-                  "rho": 0.05, "iters": 100, "seed": 1, "noise_scale": 0.1,
-                  "restarts": (20,)},
+    "fig1": {"n": 100, "lam": 1.0, "iters": 100},
+    "fig2": {"n": 100, "lam": 1.0, "mu": 0.02, "iters": 200, "restarts": (17, 34, 68, 136)},
+    "fig3": {"d1": 100, "d2": 20, "lam": 0.01, "iters": 100, "seed": 1, "restarts": (30,)},
+    "fig4": {"d1": 1000, "d2": 500, "iters": 100, "seed": 1, "step_fraction": 0.99,
+             "restarts": (10,)},
+    "fig5": {"d1": 100, "p": 5, "gamma": 3.0, "rho": 0.05, "iters": 500, "seed": 1,
+             "noise_scale": 0.1, "restarts": (20,)},
+    "fig3-desk": {"d1": 40, "d2": 10, "lam": 0.01, "iters": 60, "seed": 1, "restarts": (30,)},
+    "fig4-desk": {"d1": 50, "d2": 25, "iters": 100, "seed": 1, "step_fraction": 0.99,
+                  "restarts": (10,)},
+    "fig5-desk": {"d1": 40, "p": 5, "gamma": 3.0, "rho": 0.05, "iters": 100, "seed": 1,
+                  "noise_scale": 0.1, "restarts": (20,)},
 }

@@ -4,6 +4,7 @@ line with the measured quantity and asserting at its stated tolerance.
 Run with ``pytest -s tests/test_acceptance.py`` to see the report lines.
 """
 
+import math
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from proxpoint import (
     AffineConstraint,
+    DenseLinearOperator,
     ProxDescriptor,
     QuadraticSaddle,
     SplitMix64,
@@ -21,6 +23,7 @@ from proxpoint import (
     bilinear_game_instance,
     equivalence_check,
     guler,
+    iterate,
     linear_resolvent,
     operator_norm,
     pdhg,
@@ -294,3 +297,21 @@ def test_criterion_11_saddle_gap_bound():
            f"saddle gap * 4*lam*i <= initial squared distance on 50 seeded "
            f"strongly-convex-concave quadratics, max ratio {worst:.6f} "
            f"(tol 1+1e-6, conjectured bound)")
+
+
+def test_criterion_12_accelerated_rate_attained():
+    # The rotation by lam*s = tan(pi/(2N)) from [1, 0] is a worst case of
+    # the accelerated method at horizon N: N^2 res_N = R^2, and no earlier
+    # i^2 res_i exceeds it.
+    worst, argmax_ok = 0.0, True
+    for n in (2, 3, 5, 10, 37, 100, 240):
+        s = math.tan(math.pi / (2 * n))
+        resolvent = linear_resolvent(DenseLinearOperator([[0.0, s], [-s, 0.0]]), 1.0)
+        trace = iterate(resolvent, START, n, "proposed", R=1.0)
+        scaled = trace.residuals * trace.iterations.astype(float) ** 2
+        worst = max(worst, abs(scaled[-1] - 1.0))
+        argmax_ok = argmax_ok and int(np.argmax(scaled)) == n - 1
+    report(12, worst <= 1e-13 and argmax_ok,
+           f"accelerated bound attained on the tan(pi/(2N)) rotation for N in "
+           f"2,3,5,10,37,100,240: max |N^2 res_N / R^2 - 1| {worst:.2e} (tol 1e-13), "
+           f"largest i^2 res_i at i = N: {argmax_ok}")

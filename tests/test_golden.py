@@ -1,9 +1,17 @@
-"""The CLI's figure CSVs pinned as files under ``tests/golden``.
+"""The CLI's figure CSVs and the library's traces pinned as files under
+``tests/golden``.
 
-Each golden file was written by ``proxpoint.cli`` with one OpenBLAS
+Each ``GOLDEN`` file was written by ``proxpoint.cli`` with one OpenBLAS
 thread; each test reruns its configuration in-process and compares every
-field. A change that moves a CSV on purpose updates its golden file in
-the same diff, so the change can be reviewed as data.
+field. Each ``trace.*.csv`` file pins engine paths that no CLI run takes
+(restarts of the plain and Guler variants, every subproblem kind of the
+splitting engines, Douglas-Rachford): ``write_traces`` wrote it once
+through ``cli._run_method``, in the CLI's schema, and the test reruns its
+``TRACES`` cases the same way. A change that moves a CSV on purpose
+updates its golden file in the same diff (for a trace,
+``PYTHONPATH=src:tests python -c "import test_golden;
+test_golden.write_traces('tests/golden')"``), so the change can be
+reviewed as data.
 
 Bytes cannot gate: another BLAS build or thread count sums in another
 order and moves the last digits. Numbers are therefore compared to a
@@ -28,13 +36,17 @@ above ``N * eps`` for ``N <= 60`` and below the certificate's own gates
 moved toward failing is caught before it fails.
 """
 
+import functools
 import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from proxpoint import cli
+from proxpoint import (AffineConstraint, ProxDescriptor, QuadraticSaddle, SplitMix64, cli,
+                       iterate, linear_resolvent, operator_norm, splitting as sp)
+from conftest import random_monotone_operator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RTOL = 1e-9
@@ -72,6 +84,133 @@ GOLDEN = {
                                          "restarted", "--restart", "adaptive",
                                          "--iters", "200"],
 }
+
+
+# Library traces: paths no CLI run takes, each written through cli._run_method
+# in the CLI's CSV schema. A case is _run_method's arguments, (experiment,
+# engine, start, iters, R, label, variant, restart), with the problem bound
+# into the engine by functools.partial as the figure runners bind theirs.
+# Labels are unique within a file, so each has its own restarts line and
+# residual floor. Linear monotone operators have the origin as a zero, so
+# R = ||x0|| bounds the distance to a fixed point (of drs too).
+SUBPROBLEM_KINDS = ("quadratic", "linear", "zero", "l1")
+# The variants the CLI never restarts, under both restart rules.
+RESTARTED_VARIANTS = [(v, r) for v in ("plain", "guler1", "guler2") for r in (7, "adaptive")]
+
+
+def random_prox(kind, dim, rng):
+    if kind == "quadratic":
+        return ProxDescriptor.quadratic(rng.normal_matrix(dim + 1, dim),
+                                        rng.normals(dim + 1))
+    if kind == "linear":
+        return ProxDescriptor.linear(rng.normals(dim))
+    if kind == "zero":
+        return ProxDescriptor.zero(dim)
+    return ProxDescriptor.l1(dim, 0.7)
+
+
+def _iterate_cases():
+    """Restarts of the variants the CLI never restarts, on iterate, the
+    saddle engine (with its gap column) and pdhg (preconditioned residual);
+    and an interval past the last iteration, which keeps the bound column."""
+    rng = SplitMix64(27)
+    for d in (2, 5):
+        engine = functools.partial(
+            iterate, linear_resolvent(random_monotone_operator(rng, d, mu=0.05), 0.8))
+        x0 = rng.normals(d)
+        radius = float(np.linalg.norm(x0))
+        for variant, restart in RESTARTED_VARIANTS:
+            yield ("iterate", engine, (x0,), 50, radius, f"d{d}-{variant}-{restart}",
+                   variant, restart)
+        yield "iterate", engine, (x0,), 50, radius, f"d{d}-proposed-50", "proposed", 50
+    b1, b2 = rng.normal_matrix(2, 2), rng.normal_matrix(3, 3)
+    phi = QuadraticSaddle(b1 @ b1.T / 2, rng.normal_matrix(3, 2), b2 @ b2.T / 3,
+                          a=rng.normals(2), b=rng.normals(3))
+    linear, shift = phi.stacked_operator()
+    f = ProxDescriptor.quadratic(rng.normal_matrix(4, 2), rng.normals(4))
+    g = ProxDescriptor.quadratic(rng.normal_matrix(3, 3))
+    tau = 0.7 / operator_norm(phi.k)
+    start = rng.normals(2), rng.normals(3)
+    engines = {
+        "saddle": functools.partial(sp.accelerated_saddle_ppm, phi, 0.9, saddle=np.split(
+            np.linalg.solve(linear.entries, -shift), [2])),
+        "pdhg": functools.partial(sp.pdhg, f, g, phi.k, tau, tau),
+    }
+    for name, engine in engines.items():
+        for variant, restart in RESTARTED_VARIANTS:
+            yield (name, engine, start, 50, None, f"{name}-{variant}-{restart}",
+                   variant, restart)
+
+
+def _admm_cases():
+    """Every f and g kind of ADMM's subproblem rule, alternately plain and
+    accelerated; an l1 g takes B = I on accelerated runs, B = -I on plain."""
+    d1, d2 = 4, 6
+    for i, f_kind in enumerate(SUBPROBLEM_KINDS):
+        for j, g_kind in enumerate(SUBPROBLEM_KINDS):
+            rng = SplitMix64(100 + 4 * i + j)
+            variant = ("plain", "proposed")[(i + j) % 2]
+            b_mat = ((1.0 if variant == "proposed" else -1.0) * np.eye(d2) if g_kind == "l1"
+                     else rng.normal_matrix(d2, d2))
+            cons = AffineConstraint(rng.normal_matrix(d2, d1), b_mat, rng.normals(d2))
+            f, g = random_prox(f_kind, d1, rng), random_prox(g_kind, d2, rng)
+            start = rng.normals(d1), rng.normals(d2), rng.normals(d2)
+            yield ("admm", functools.partial(sp.admm, f, g, cons, 0.7), start, 30, None,
+                   f"{f_kind}-{g_kind}", variant, None)
+
+
+def _prox_multipliers_cases():
+    """The u-update of the proximal method of multipliers for every f kind."""
+    d1, d2 = 8, 3
+    for i, kind in enumerate(SUBPROBLEM_KINDS):
+        rng = SplitMix64(1 + i)
+        a_mat, b = rng.normal_matrix(d2, d1), rng.normals(d2)
+        engine = functools.partial(sp.accelerated_prox_multipliers,
+                                   random_prox(kind, d1, rng), a_mat, b, 0.6)
+        start = rng.normals(d1), rng.normals(d2)
+        yield "prox-multipliers", engine, start, 30, None, kind, "proposed", 12
+
+
+def _drs_cases():
+    """The Douglas-Rachford step under every variant and restart rule."""
+    rng = SplitMix64(31)
+    for d in (2, 5, 40):
+        j1 = linear_resolvent(random_monotone_operator(rng, d), 0.8)
+        j2 = linear_resolvent(random_monotone_operator(rng, d), 0.8)
+        nu0 = rng.normals(d)
+        engine = functools.partial(sp.drs, j1, j2, 0.8)
+        for variant, restart in (("plain", None), ("proposed", None), ("guler1", None),
+                                 ("guler2", None), ("proposed", 7), ("proposed", "adaptive")):
+            yield ("drs", engine, (nu0,), 30, float(np.linalg.norm(nu0)),
+                   f"d{d}-{variant}" + ("" if restart is None else f"-{restart}"),
+                   variant, restart)
+
+
+# trace file -> its cases.
+TRACES = {
+    "trace.iterate.csv": _iterate_cases,
+    "trace.admm.csv": _admm_cases,
+    "trace.prox-multipliers.csv": _prox_multipliers_cases,
+    "trace.drs.csv": _drs_cases,
+}
+
+
+def trace_text(name):
+    """The CSV of ``TRACES[name]``: restart lines, header, rows, as the CLI
+    lays out a figure."""
+    results = [cli._run_method(*case) for case in TRACES[name]()]
+    lines = [restarts for restarts, _ in results if restarts]
+    lines.append("experiment,method,iteration,residual,bound,infeasibility,gap")
+    for _, rows in results:
+        lines += rows
+    return "\n".join(lines) + "\n"
+
+
+def write_traces(directory):
+    """Write every trace file into ``directory``: run once, and again only to
+    move a trace on purpose."""
+    for name in TRACES:
+        (Path(directory) / name).write_text(trace_text(name))
 
 
 def _number(text):
@@ -135,42 +274,59 @@ def assert_cert_matches(got_text, want_text):
             assert abs(float(g) - float(w)) <= CERT_ATOL, (got_row, want_row)
 
 
+def _check(name, got_text, compare, record_property):
+    golden = (GOLDEN_DIR / name).read_bytes()
+    compare(got_text, golden.decode())
+    identical = got_text.encode() == golden
+    record_property("bytes_identical", identical)
+    if not identical:
+        warnings.warn(f"{name}: every value is within tolerance of its golden "
+                      "copy, but the bytes differ", stacklevel=2)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_reproduces_the_golden_csv(name, tmp_path, record_property):
     out = tmp_path / name
     assert cli.main(GOLDEN[name] + ["--out", str(out)]) == 0
-    golden = (GOLDEN_DIR / name).read_bytes()
     compare = assert_cert_matches if name.startswith("cert") else assert_csv_matches
-    compare(out.read_text(), golden.decode())
-    identical = out.read_bytes() == golden
-    record_property("bytes_identical", identical)
-    if not identical:
-        warnings.warn(f"{name}: every value is within tolerance of its golden "
-                      "copy, but the bytes differ", stacklevel=1)
+    _check(name, out.read_text(), compare, record_property)
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_library_reproduces_the_trace(name, record_property):
+    _check(name, trace_text(name), assert_csv_matches, record_property)
 
 
 def test_every_golden_file_has_an_entry_and_every_entry_a_file():
-    assert {p.name for p in GOLDEN_DIR.iterdir()} == set(GOLDEN)
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == set(GOLDEN) | set(TRACES)
 
 
-@pytest.mark.parametrize("name", sorted(n for n in GOLDEN if "restarted" in GOLDEN[n]))
+@pytest.mark.parametrize("name", sorted(
+    [n for n in GOLDEN if "restarted" in GOLDEN[n]]
+    + [n for n in TRACES if any(case[-1] is not None for case in TRACES[n]())]))
 def test_restarted_golden_files_record_restarts(name):
     lines = (GOLDEN_DIR / name).read_text().splitlines()
     assert any(ln.startswith("# restarts[") for ln in lines)
 
 
-def test_a_moved_value_fails_the_comparison():
-    text = (GOLDEN_DIR / "fig2.restarted-adaptive.csv").read_text()
+# A row whose residual is well above its method's floor: fig2's row 50, and
+# the first row of the trace (the largest residual of a plain run).
+@pytest.mark.parametrize("name,row", [("fig2.restarted-adaptive.csv", 50),
+                                      ("trace.iterate.csv", 1)])
+def test_a_moved_value_fails_the_comparison(name, row):
+    text = (GOLDEN_DIR / name).read_text()
     lines = text.splitlines()
-    header = next(i for i, ln in enumerate(lines) if ln.startswith("experiment,"))
-    row = lines[header + 50].split(",")
-    row[3] = repr(float(row[3]) * (1.0 + 1e-7))
-    moved = lines[:header + 50] + [",".join(row)] + lines[header + 51:]
+    at = row + next(i for i, ln in enumerate(lines) if ln.startswith("experiment,"))
+    fields = lines[at].split(",")
+    fields[3] = repr(float(fields[3]) * (1.0 + 1e-7))
+    moved = lines[:at] + [",".join(fields)] + lines[at + 1:]
     with pytest.raises(AssertionError):
         assert_csv_matches("\n".join(moved), text)
     restarts = next(i for i, ln in enumerate(lines) if ln.startswith("# restarts"))
+    key, _, steps = lines[restarts].partition("=")
+    first, _, rest = steps.partition(",")
     shifted = lines.copy()
-    shifted[restarts] = shifted[restarts].replace("=33,", "=34,")
+    shifted[restarts] = f"{key}={int(first) + 1},{rest}"
     with pytest.raises(AssertionError):
         assert_csv_matches("\n".join(shifted), text)
 

@@ -8,8 +8,6 @@ from numpy.testing import assert_allclose
 
 from proxpoint import (
     Momentum,
-    ProxDescriptor,
-    QuadraticSaddle,
     StepCoeffs,
     accelerated_ppm,
     accelerated_saddle_ppm,
@@ -18,9 +16,7 @@ from proxpoint import (
     general_ppm,
     guler,
     linear_resolvent,
-    operator_norm,
     optimal_restart_interval,
-    pdhg,
     ppm,
     restarted,
     rotation_worst_case,
@@ -28,10 +24,9 @@ from proxpoint import (
     toy_saddle,
     yosida,
 )
-from proxpoint import splitting
 from proxpoint.methods import (_euclidean_sq, accelerated_rate_bound, iterate,
                                ppm_rate_bound)
-from conftest import random_monotone_operator, reference_iterate
+from conftest import random_monotone_operator
 
 START = np.array([1.0, 0.0])
 
@@ -372,69 +367,6 @@ class TestExtrapolationDivergence:
 
 
 TRACE_ARRAYS = ("iterations", "residuals", "bounds", "xs", "ys", "gaps")
-
-
-def assert_same_trace(got, want):
-    for name in TRACE_ARRAYS:
-        a, b = getattr(got, name), getattr(want, name)
-        if b is None:
-            assert a is None, name
-        else:
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
-    assert got.restarts == want.restarts
-
-
-RESTARTS = [pytest.param(None, id="none"), pytest.param(7, id="interval 7"),
-            pytest.param(300, id="interval 300"), pytest.param("adaptive", id="adaptive")]
-
-
-def reference_loop(step, x0, iters, variant="plain", restart=None, R=None, **scorers):
-    """``iterate``'s signature on the list-based loop, whose restart keywords
-    are ``interval`` and ``adaptive``."""
-    adaptive = restart == "adaptive"
-    return reference_iterate(step, x0, iters, variant, None if adaptive else restart,
-                             adaptive, R, **scorers)
-
-
-class TestTraceArrays:
-    # Each row is written into arrays allocated once per run; every array
-    # must equal the list-based loop's byte for byte.
-    @pytest.mark.parametrize("R", [None, 1.7])
-    @pytest.mark.parametrize("restart", RESTARTS)
-    @pytest.mark.parametrize("variant", ["plain", "proposed", "guler1", "guler2"])
-    @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_matches_the_list_loop(self, rng, d, variant, restart, R):
-        resolvent = linear_resolvent(random_monotone_operator(rng, d, mu=0.05), 0.8)
-        x0 = rng.normals(d)
-        assert_same_trace(iterate(resolvent, x0, 200, variant, restart, R),
-                          reference_loop(resolvent, x0, 200, variant, restart, R))
-
-    @pytest.mark.parametrize("restart", RESTARTS)
-    @pytest.mark.parametrize("variant", ["plain", "proposed", "guler1", "guler2"])
-    def test_gaps_and_pdhg_residual_match_the_list_loop(self, monkeypatch, rng,
-                                                         variant, restart):
-        b1, b2 = rng.normal_matrix(2, 2), rng.normal_matrix(3, 3)
-        phi = QuadraticSaddle(b1 @ b1.T / 2, rng.normal_matrix(3, 2), b2 @ b2.T / 3,
-                              a=rng.normals(2), b=rng.normals(3))
-        h, g_mat, k = rng.normal_matrix(4, 2), rng.normal_matrix(3, 3), phi.k
-        f, g = ProxDescriptor.quadratic(h, rng.normals(4)), ProxDescriptor.quadratic(g_mat)
-        tau = sigma = 0.7 / operator_norm(k)
-        u0, v0 = rng.normals(2), rng.normals(3)
-        linear, shift = phi.stacked_operator()
-        saddle = np.split(np.linalg.solve(linear.entries, -shift), [2])
-
-        def runs():
-            return [
-                accelerated_saddle_ppm(phi, 0.9, u0, v0, 150, variant, restart, R=2.0,
-                                       saddle=saddle),
-                pdhg(f, g, k, tau, sigma, u0, v0, 150, variant, restart, R=2.0),
-            ]
-
-        got = runs()
-        monkeypatch.setattr(splitting, "iterate", reference_loop)
-        for trace, want in zip(got, runs(), strict=True):
-            assert_same_trace(trace, want)
 
 
 class TestTraceMemory:

