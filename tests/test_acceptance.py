@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from proxpoint import (

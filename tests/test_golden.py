@@ -6,9 +6,9 @@ thread; each test reruns its configuration in-process and compares every
 field. Each ``trace.*.csv`` file pins engine paths that no CLI run takes
 (restarts of the plain and Guler variants, every subproblem kind of the
 splitting engines, Douglas-Rachford): ``write_traces`` wrote it once
-through ``cli._run_method``, in the CLI's schema, and the test reruns its
-``TRACES`` cases the same way. A change that moves a CSV on purpose
-updates its golden file in the same diff (for a trace,
+through ``cli._run_method``, in the CLI's schema, and a test of its own
+reruns each of its ``TRACES`` cases the same way. A change that moves a
+CSV on purpose updates its golden file in the same diff (for a trace,
 ``PYTHONPATH=src:tests python -c "import test_golden;
 test_golden.write_traces('tests/golden')"``), so the change can be
 reviewed as data.
@@ -195,10 +195,14 @@ TRACES = {
 }
 
 
-def trace_text(name):
-    """The CSV of ``TRACES[name]``: restart lines, header, rows, as the CLI
-    lays out a figure."""
-    results = [cli._run_method(*case) for case in TRACES[name]()]
+# Every trace case with its file, one test id each, so a failure names the case.
+TRACE_CASES = [pytest.param(name, case, id=f"{name}-{case[5]}")
+               for name in sorted(TRACES) for case in TRACES[name]()]
+
+
+def _layout(results):
+    """Restart lines, header, rows, as the CLI lays out a figure, from
+    ``_run_method``'s ``(restarts, rows)`` pairs."""
     lines = [restarts for restarts, _ in results if restarts]
     lines.append("experiment,method,iteration,residual,bound,infeasibility,gap")
     for _, rows in results:
@@ -206,11 +210,21 @@ def trace_text(name):
     return "\n".join(lines) + "\n"
 
 
+def golden_case(name, label):
+    """``label``'s restarts line and rows in a trace file, as ``_run_method``
+    returns them."""
+    lines = (GOLDEN_DIR / name).read_text().splitlines()
+    restarts = next((ln for ln in lines if ln.startswith(f"# restarts[{label}]=")), None)
+    rows = [ln for ln in lines if not ln.startswith("#") and ln.split(",")[1] == label]
+    return restarts, rows
+
+
 def write_traces(directory):
     """Write every trace file into ``directory``: run once, and again only to
     move a trace on purpose."""
     for name in TRACES:
-        (Path(directory) / name).write_text(trace_text(name))
+        results = [cli._run_method(*case) for case in TRACES[name]()]
+        (Path(directory) / name).write_text(_layout(results))
 
 
 def _number(text):
@@ -274,10 +288,9 @@ def assert_cert_matches(got_text, want_text):
             assert abs(float(g) - float(w)) <= CERT_ATOL, (got_row, want_row)
 
 
-def _check(name, got_text, compare, record_property):
-    golden = (GOLDEN_DIR / name).read_bytes()
-    compare(got_text, golden.decode())
-    identical = got_text.encode() == golden
+def _check(name, got_text, want_text, compare, record_property):
+    compare(got_text, want_text)
+    identical = got_text == want_text
     record_property("bytes_identical", identical)
     if not identical:
         warnings.warn(f"{name}: every value is within tolerance of its golden "
@@ -289,12 +302,30 @@ def test_cli_reproduces_the_golden_csv(name, tmp_path, record_property):
     out = tmp_path / name
     assert cli.main(GOLDEN[name] + ["--out", str(out)]) == 0
     compare = assert_cert_matches if name.startswith("cert") else assert_csv_matches
-    _check(name, out.read_text(), compare, record_property)
+    _check(name, out.read_text(), (GOLDEN_DIR / name).read_text(), compare, record_property)
+
+
+@pytest.mark.parametrize("name,case", TRACE_CASES)
+def test_library_reproduces_the_trace(name, case, record_property):
+    label = case[5]
+    _check(f"{name}[{label}]", _layout([cli._run_method(*case)]),
+           _layout([golden_case(name, label)]), assert_csv_matches, record_property)
 
 
 @pytest.mark.parametrize("name", sorted(TRACES))
-def test_library_reproduces_the_trace(name, record_property):
-    _check(name, trace_text(name), assert_csv_matches, record_property)
+def test_a_trace_file_is_its_cases_and_nothing_else(name):
+    assert (_layout([golden_case(name, case[5]) for case in TRACES[name]()])
+            == (GOLDEN_DIR / name).read_text())
+
+
+# A fixed interval k restarts after steps k, 2k, ... below the last step, on
+# every engine: the schedule is the rule's, not only the trace file's.
+@pytest.mark.parametrize("name,case", [p for p in TRACE_CASES
+                                       if isinstance(p.values[1][7], int)])
+def test_a_fixed_interval_restarts_at_its_multiples(name, case):
+    _, engine, start, iters, radius, _, variant, interval = case
+    trace = engine(*start, iters, variant, interval, radius)
+    assert list(trace.restarts) == list(range(interval, iters, interval))
 
 
 def test_every_golden_file_has_an_entry_and_every_entry_a_file():
@@ -315,20 +346,40 @@ def test_restarted_golden_files_record_restarts(name):
                                       ("trace.iterate.csv", 1)])
 def test_a_moved_value_fails_the_comparison(name, row):
     text = (GOLDEN_DIR / name).read_text()
+    for moved in (_moved_value(text, row), _shifted_restart(text)):
+        with pytest.raises(AssertionError):
+            assert_csv_matches(moved, text)
+
+
+def _moved_value(text, row):
     lines = text.splitlines()
     at = row + next(i for i, ln in enumerate(lines) if ln.startswith("experiment,"))
     fields = lines[at].split(",")
     fields[3] = repr(float(fields[3]) * (1.0 + 1e-7))
-    moved = lines[:at] + [",".join(fields)] + lines[at + 1:]
-    with pytest.raises(AssertionError):
-        assert_csv_matches("\n".join(moved), text)
-    restarts = next(i for i, ln in enumerate(lines) if ln.startswith("# restarts"))
-    key, _, steps = lines[restarts].partition("=")
+    return "\n".join(lines[:at] + [",".join(fields)] + lines[at + 1:])
+
+
+def _shifted_restart(text):
+    lines = text.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("# restarts"))
+    key, _, steps = lines[at].partition("=")
     first, _, rest = steps.partition(",")
-    shifted = lines.copy()
-    shifted[restarts] = f"{key}={int(first) + 1},{rest}"
+    return "\n".join(lines[:at] + [f"{key}={int(first) + 1},{rest}"] + lines[at + 1:])
+
+
+# Each trace case pins its values and its restarts: the comparison fails when
+# its largest residual moves by 1e-7 relative, when its first restart comes a
+# step later, and when a case without restarts records one.
+@pytest.mark.parametrize("move", ["value", "restart"])
+@pytest.mark.parametrize("name,case", TRACE_CASES)
+def test_a_moved_trace_case_fails_the_comparison(name, case, move):
+    restarts, rows = golden_case(name, case[5])
+    text = _layout([(restarts, rows)])
+    largest = max(range(len(rows)), key=lambda i: float(rows[i].split(",")[3]))
+    moved = (_moved_value(text, 1 + largest) if move == "value"
+             else _shifted_restart(text) if restarts else f"# restarts[{case[5]}]=1\n" + text)
     with pytest.raises(AssertionError):
-        assert_csv_matches("\n".join(shifted), text)
+        assert_csv_matches(moved, text)
 
 
 def test_a_moved_certificate_value_fails_the_comparison():
