@@ -23,7 +23,6 @@ _EXPORTS = {
     "methods": (
         "Momentum",
         "ResidualTrace",
-        "StepCoeffs",
         "accelerated_ppm",
         "forward_method",
         "general_ppm",

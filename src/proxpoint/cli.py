@@ -133,7 +133,7 @@ def _check_bounds(label, trace):
         j = above[0]
         raise ArithmeticError(
             f"{label}: residual {_fmt(trace.residuals[j])} above its bound"
-            f" {_fmt(trace.bounds[j])} at iteration {int(trace.iterations[j])}")
+            f" {_fmt(trace.bounds[j])} at iteration {j + 1}")
 
 
 def _run_method(experiment, engine, start, iters, radius, label, variant, restart):
@@ -147,11 +147,11 @@ def _run_method(experiment, engine, start, iters, radius, label, variant, restar
     _check_bounds(label, trace)
     restarts = (f"# restarts[{label}]={','.join(map(str, trace.restarts))}"
                 if trace.restarts else None)
-    blank = [None] * len(trace.iterations)
+    blank = [None] * len(trace.residuals)
     columns = [blank if c is None else c
                for c in (trace.bounds, trace.infeasibility, trace.gaps)]
-    return restarts, [f"{experiment},{label},{int(i)},{_fmt(r)},{_fmt(b)},{_fmt(f)},{_fmt(g)}"
-                      for i, r, b, f, g in zip(trace.iterations, trace.residuals, *columns)]
+    return restarts, [f"{experiment},{label},{i},{_fmt(r)},{_fmt(b)},{_fmt(f)},{_fmt(g)}"
+                      for i, (r, b, f, g) in enumerate(zip(trace.residuals, *columns), 1)]
 
 
 # Each runner reads the figure's parameters from config.params, its preset

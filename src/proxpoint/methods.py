@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import _check_positive, as_vector
+from .operators import _check_positive, _square_matrix, as_vector
 
 __all__ = [
-    "StepCoeffs",
     "ResidualTrace",
     "Momentum",
     "iterate",
@@ -37,50 +36,16 @@ _VARIANTS = ("plain", "proposed", "guler1", "guler2")
 
 
 @dataclass
-class StepCoeffs:
-    """Lower-triangular step coefficients ``h[i, k]`` for the general
-    proximal point method, rows ``i = 1..N-1`` with entries ``k = 1..i``."""
-
-    horizon: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        n = int(self.horizon)
-        if n < 2:
-            raise ValueError("horizon must be at least 2")
-        t = np.asarray(self.table, dtype=float)
-        if t.shape != (n - 1, n - 1):
-            raise ValueError(f"table must have shape ({n - 1}, {n - 1}), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("step coefficients must be finite")
-        if np.any(np.triu(t, k=1) != 0.0):
-            raise ValueError("entries above the diagonal must be zero")
-        self.horizon = n
-        self.table = t
-
-    def row(self, i):
-        """Coefficients ``h[i, 1..i]`` applied when forming ``y_i`` from ``y_{i-1}``."""
-        if not 1 <= i <= self.horizon - 1:
-            raise ValueError(f"row index {i} outside 1..{self.horizon - 1}")
-        return self.table[i - 1, :i]
-
-    @classmethod
-    def ppm(cls, horizon):
-        """Identity choice ``h[i, i] = 1`` that reduces the general method to PPM."""
-        table = np.zeros((horizon - 1, horizon - 1))
-        np.fill_diagonal(table, 1.0)
-        return cls(horizon, table)
-
-
-@dataclass
 class ResidualTrace:
     """Per-iteration record of a fixed-point iteration.
 
-    ``residuals[i-1]`` is the squared fixed-point residual of step ``i``,
-    ``||x_i - y_{i-1}||^2`` unless the engine measures it otherwise
+    ``residuals[i-1]`` is the squared fixed-point residual of iteration
+    ``i``, ``||x_i - y_{i-1}||^2`` unless the engine measures it otherwise
     (preconditioned for PDHG, ``rho^2 * infeasibility`` for ADMM); plain
-    runs have ``y_i = x_i``. ``xs`` stacks ``x_0..x_n`` and ``ys`` the
-    points fed to the step, so ``ys[i-1]`` produced ``xs[i]``.
+    runs have ``y_i = x_i``. ``bounds``, ``gaps`` and ``infeasibility``
+    share its rows, so row ``i-1`` is always iteration ``i``. ``xs``
+    stacks ``x_0..x_n`` and ``ys`` the points fed to the step, so
+    ``ys[i-1]`` produced ``xs[i]``.
     ``restarts`` lists the global iteration indices after which the engine
     re-initialized. ``gaps`` holds saddle gaps when a saddle point was
     supplied and ``infeasibility`` the ADMM constraint violation
@@ -89,7 +54,6 @@ class ResidualTrace:
     multipliers ``nu_hat`` and ``eta_hat``.
     """
 
-    iterations: np.ndarray
     residuals: np.ndarray
     bounds: np.ndarray | None
     xs: np.ndarray
@@ -98,9 +62,6 @@ class ResidualTrace:
     gaps: np.ndarray | None = None
     infeasibility: np.ndarray | None = None
     iterates: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.iterations)
 
 
 class Momentum:
@@ -255,7 +216,7 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
     if R is not None and rate is not None and not adaptive and interval >= iters:
         # Python ints, not numpy scalars: the same floats, about 8x faster.
         bounds = np.fromiter((rate(R, i) for i in range(1, iters + 1)), float, iters)
-    return ResidualTrace(np.arange(1, iters + 1), residuals, bounds, xs, ys, restarts)
+    return ResidualTrace(residuals, bounds, xs, ys, restarts)
 
 
 def ppm_rate_bound(R, i):
@@ -274,33 +235,47 @@ def ppm(resolvent, x0, iters, R=None):
     return iterate(resolvent, x0, iters, "plain", R=R)
 
 
-def general_ppm(resolvent, coeffs, y0, iters):
+def general_ppm(resolvent, table, y0, iters):
     """General proximal point method with arbitrary step coefficients.
 
-    Updates ``x_{i+1} = J(y_i)`` and ``y_{i+1} = y_i + sum_k
-    h[i+1, k+1] (x_{k+1} - y_k)``, keeping the whole update history
-    (O(iters * dim) memory). Like :func:`iterate`, it records into arrays
-    allocated once per run.
+    ``table`` is the lower-triangular ``(N-1) x (N-1)`` step table, row
+    ``i-1`` holding ``h[i, 1..i]``; it covers at most ``N`` iterations.
+    Updates ``x_{i+1} = J(y_i)`` and ``y_{i+1} = y_i + sum_k h[i+1, k+1]
+    (x_{k+1} - y_k)``, keeping the whole update history (O(iters * dim)
+    memory). Like :func:`iterate`, it records into arrays allocated once
+    per run, raises ``ValueError`` when the resolvent returns another shape
+    than the start's and ``FloatingPointError`` on a non-finite residual.
     """
     if iters < 1:
         raise ValueError("iteration count must be at least 1")
-    if iters > coeffs.horizon:
-        raise ValueError(f"iters = {iters} exceeds the coefficient horizon {coeffs.horizon}")
+    table = _square_matrix(table, "step table")
+    if np.any(np.triu(table, k=1) != 0.0):
+        raise ValueError("entries above the diagonal must be zero")
+    if iters > len(table) + 1:
+        raise ValueError(f"iters = {iters} exceeds the coefficient horizon {len(table) + 1}")
     y = as_vector(y0)
     xs = np.empty((iters + 1, y.size))
     xs[0] = y
     ys = np.empty((iters, y.size))
     residuals = np.empty(iters)
     updates = np.empty((iters, y.size))
-    for i in range(iters):
-        ys[i] = y
-        x_new = xs[i + 1] = as_vector(resolvent(y))
-        diff = updates[i] = x_new - y
-        residuals[i] = diff @ diff
-        if i == iters - 1:
-            break
-        y = y + coeffs.row(i + 1) @ updates[:i + 1]
-    return ResidualTrace(np.arange(1, iters + 1), residuals, None, xs, ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(iters):
+            ys[i] = y
+            x_new = np.asarray(resolvent(y), dtype=float)
+            if x_new.shape != y.shape:
+                raise ValueError(f"step returned shape {x_new.shape} at iteration "
+                                 f"{i + 1}, expected the start's shape {y.shape}")
+            xs[i + 1] = x_new
+            diff = updates[i] = x_new - y
+            residuals[i] = diff @ diff
+            if not math.isfinite(residuals[i]):
+                raise FloatingPointError(
+                    f"non-finite residual or iterate at iteration {i + 1}")
+            if i == iters - 1:
+                break
+            y = y + table[i, :i + 1] @ updates[:i + 1]
+    return ResidualTrace(residuals, None, xs, ys)
 
 
 def accelerated_ppm(resolvent, x0, iters, R=None):

@@ -102,15 +102,8 @@ class DenseLinearOperator:
     def __init__(self, entries):
         self.entries = _square_matrix(entries)
 
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
     def __call__(self, x):
         return self.entries @ as_vector(x)
-
-    def __repr__(self):
-        return f"DenseLinearOperator(dim={self.dim})"
 
 
 @functools.cache
@@ -327,14 +320,14 @@ class QuadraticSaddle:
         return score
 
     def stacked_operator(self):
-        """Saddle subdifferential as ``(linear part, constant shift)``.
+        """Saddle subdifferential as ``(matrix, constant shift)``.
 
         The operator is ``(u, v) -> [[Quu, K'], [-K, Qvv]] (u, v) + (a, b)``,
         which is monotone because its symmetric part is ``diag(Quu, Qvv)``.
         """
         top = np.hstack([self.q_uu, self.k.T])
         bottom = np.hstack([-self.k, self.q_vv])
-        return DenseLinearOperator(np.vstack([top, bottom])), np.concatenate([self.a, self.b])
+        return np.vstack([top, bottom]), np.concatenate([self.a, self.b])
 
 
 def saddle_resolvent_map(phi, lam):
@@ -344,8 +337,8 @@ def saddle_resolvent_map(phi, lam):
     the saddle operator; the factorization is reused across calls.
     """
     lam = _check_positive(lam)
-    linear, shift = phi.stacked_operator()
-    solve = _factor(np.eye(linear.dim) + lam * linear.entries)
+    m, shift = phi.stacked_operator()
+    solve = _factor(np.eye(len(m)) + lam * m)
     offset = lam * shift
 
     def apply(y):

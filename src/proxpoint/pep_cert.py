@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .methods import StepCoeffs, general_ppm, iterate
+from .methods import general_ppm, iterate
 from .operators import _min_eigenvalue
 
 __all__ = [
@@ -41,9 +41,14 @@ RANK1_TOL = 1e-12
 EIG_TOL = 1e-10
 
 
-def _step_table(n):
-    """The float64 table of :func:`build_h`, without the validation
-    ``StepCoeffs`` gives to tables from outside the library."""
+def build_h(n):
+    """Step table ``h[i, k] = -2k/(i(i+1))`` off-diagonal and ``2i/(i+1)``
+    on the diagonal, as the float ``(n-1) x (n-1)`` array whose row
+    ``i-1`` holds ``h[i, 1..i]``.
+
+    Every row sums to one, and the general method driven by this table
+    coincides with the accelerated method.
+    """
     if n < 2:
         raise ValueError("horizon must be at least 2")
     idx = np.arange(1, n)
@@ -51,16 +56,6 @@ def _step_table(n):
     table = np.tril(-2.0 * k / (i * (i + 1)), -1)
     np.fill_diagonal(table, 2.0 * idx / (idx + 1))
     return table
-
-
-def build_h(n):
-    """Step coefficients ``h[i, k] = -2k/(i(i+1))`` off-diagonal and
-    ``2i/(i+1)`` on the diagonal, for rows ``i = 1..n-1``.
-
-    Every row sums to one, and the general method driven by this table
-    coincides with the accelerated method.
-    """
-    return StepCoeffs(n, _step_table(n))
 
 
 # The constraint matrices are formed entry by entry from the entries of
@@ -111,21 +106,19 @@ def _b_entries(up, uq, sp, sq, ep, eq):
     return up * uq - _sym_outer(up, uq, ep, eq) + _sym_outer(up, uq, sp, sq)
 
 
-def constraint_a(coeffs, n, i, j):
+def constraint_a(table, n, i, j):
     """Monotonicity constraint matrix for the iterate pair ``(i, j)``, ``i < j``."""
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    table = coeffs.table
     d = _unit(table, n + 1, i - 1) - _unit(table, n + 1, j - 1)
     span = _span(table, i - 1, j - 1, n + 1)
     return _a_entries(d[:, None], d, span[:, None], span)
 
 
-def constraint_b(coeffs, n, i):
+def constraint_b(table, n, i):
     """Monotonicity constraint matrix pairing iterate ``i`` with the solution."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}, got {i}")
-    table = coeffs.table
     u, e = _unit(table, n + 1, i - 1), _unit(table, n + 1, n)
     span = _span(table, 0, i - 1, n + 1)
     return _b_entries(u[:, None], u, span[:, None], span, e[:, None], e)
@@ -146,33 +139,33 @@ class ConstraintMatrices:
     pair ``1 <= i < j <= n`` and every ``1 <= i <= n``; ``C`` is the
     initial-distance constraint. The relaxed program that the analytic
     certificate uses keeps only the consecutive ``A[(i-1, i)]`` plus
-    ``B[n]``.
+    ``B[n]``. The horizon is ``C.shape[0] - 1``.
     """
 
-    horizon: int
     A: dict
     B: dict
     C: np.ndarray
 
 
-def build_constraint_matrices(coeffs, n):
+def build_constraint_matrices(table, n):
     """Construct the constraint matrices of the worst-case program.
 
     Parameters
     ----------
-    coeffs : StepCoeffs
-        Step coefficients with ``coeffs.horizon >= n``.
+    table : ndarray
+        Step table of at least ``n - 1`` rows, row ``i-1`` holding
+        ``h[i, 1..i]``, as :func:`build_h` returns it.
     n : int
         Number of iterations covered by the program.
     """
     if n < 2:
         raise ValueError("horizon must be at least 2")
-    if coeffs.horizon < n:
+    if len(table) + 1 < n:
         raise ValueError("step coefficients cover fewer iterations than requested")
-    a = {(i, j): constraint_a(coeffs, n, i, j)
+    a = {(i, j): constraint_a(table, n, i, j)
          for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    b = {i: constraint_b(coeffs, n, i) for i in range(1, n + 1)}
-    return ConstraintMatrices(n, a, b, constraint_c(n))
+    b = {i: constraint_b(table, n, i) for i in range(1, n + 1)}
+    return ConstraintMatrices(a, b, constraint_c(n))
 
 
 def dual_multipliers(n):
@@ -238,7 +231,7 @@ def certificate_slack(n):
     being PSD; it factors exactly as a rank-1 outer product.
     """
     a, b_n, c = dual_multipliers(n)
-    return _assemble_slack(_step_table(n), a, b_n, c)
+    return _assemble_slack(build_h(n), a, b_n, c)
 
 
 @dataclass

@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 import proxpoint
-from proxpoint import DenseLinearOperator, SplitMix64, StepCoeffs
+from proxpoint import DenseLinearOperator, SplitMix64
 from proxpoint.operators import _flapack, as_vector
 from proxpoint.pep_cert import ConstraintMatrices, constraint_c, dual_multipliers
 
@@ -88,54 +88,53 @@ def reference_build_h(n):
         for k in range(1, i):
             table[i - 1, k - 1] = -2.0 * k / (i * (i + 1))
         table[i - 1, i - 1] = 2.0 * i / (i + 1)
-    return StepCoeffs(n, table)
+    return table
 
 
 def _reference_sym_outer(u, v):
     return 0.5 * (np.outer(u, v) + np.outer(v, u))
 
 
-def _reference_h_combination(coeffs, e, l):
-    row = coeffs.row(l + 1)
-    return row @ e[:l + 1]
+def _reference_h_combination(table, e, l):
+    return table[l, :l + 1] @ e[:l + 1]
 
 
-def reference_constraint_a(coeffs, n, i, j):
+def reference_constraint_a(table, n, i, j):
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     e = np.eye(n + 1)
     d = e[i - 1] - e[j - 1]
     span = np.zeros(n + 1)
     for l in range(i - 1, j - 1):
-        span += _reference_h_combination(coeffs, e, l)
+        span += _reference_h_combination(table, e, l)
     return _reference_sym_outer(d, d) - _reference_sym_outer(d, span)
 
 
-def reference_constraint_b(coeffs, n, i):
+def reference_constraint_b(table, n, i):
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}, got {i}")
     e = np.eye(n + 1)
     ui = e[i - 1]
     span = np.zeros(n + 1)
     for l in range(i - 1):
-        span += _reference_h_combination(coeffs, e, l)
+        span += _reference_h_combination(table, e, l)
     return np.outer(ui, ui) - _reference_sym_outer(ui, e[n]) + _reference_sym_outer(ui, span)
 
 
-def reference_constraint_matrices(coeffs, n):
-    a = {(i, j): reference_constraint_a(coeffs, n, i, j)
+def reference_constraint_matrices(table, n):
+    a = {(i, j): reference_constraint_a(table, n, i, j)
          for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    b = {i: reference_constraint_b(coeffs, n, i) for i in range(1, n + 1)}
-    return ConstraintMatrices(n, a, b, constraint_c(n))
+    b = {i: reference_constraint_b(table, n, i) for i in range(1, n + 1)}
+    return ConstraintMatrices(a, b, constraint_c(n))
 
 
 def reference_certificate_slack(n):
-    coeffs = reference_build_h(n)
+    table = reference_build_h(n)
     a, b_n, c = dual_multipliers(n)
     s = np.zeros((n + 1, n + 1))
     for i in range(2, n + 1):
-        s += a[i] * reference_constraint_a(coeffs, n, i - 1, i)
-    s += b_n * reference_constraint_b(coeffs, n, n)
+        s += a[i] * reference_constraint_a(table, n, i - 1, i)
+    s += b_n * reference_constraint_b(table, n, n)
     s += c * constraint_c(n)
     s[n - 1, n - 1] -= 1.0
     return s

@@ -7,6 +7,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the report lines.
 import math
 import time
 
+import mpmath
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
@@ -65,7 +66,7 @@ def test_criterion_02_accelerated_rate():
         trace = accelerated_ppm(
             linear_resolvent(rotation_worst_case(n, 1.0), 1.0), START, 200)
         worst = max(worst, float(np.max(
-            trace.residuals * trace.iterations.astype(float) ** 2)))
+            trace.residuals * np.arange(1, len(trace.residuals) + 1) ** 2)))
     for s in range(100):
         rng = SplitMix64(500 + s)
         dim = 2 + int(rng.integers_below(19, 1)[0])
@@ -73,7 +74,7 @@ def test_criterion_02_accelerated_rate():
         lam = 0.2 + 2.0 * rng.uniforms(1)[0]
         x0 = rng.normals(dim)
         trace = accelerated_ppm(linear_resolvent(op, lam), x0, 200)
-        scaled = trace.residuals * trace.iterations.astype(float) ** 2
+        scaled = trace.residuals * np.arange(1, len(trace.residuals) + 1) ** 2
         worst = max(worst, float(np.max(scaled)) / (x0 @ x0))
     elapsed = time.perf_counter() - t0
     report(2, worst <= 1.0 + 1e-9 and elapsed < 10.0,
@@ -179,7 +180,7 @@ def test_criterion_08_pdhg_preconditioned_bound():
     dx = np.concatenate([u0, v0]) - oracle.xs[-1]
     radius2 = dx @ p @ dx
     trace = pdhg(f, g, k, tau, sigma, u0, v0, 200)
-    worst = float(np.max(trace.residuals * trace.iterations.astype(float) ** 2))
+    worst = float(np.max(trace.residuals * np.arange(1, len(trace.residuals) + 1) ** 2))
     ratio = worst / radius2
     report(8, ratio <= 1.0 + 1e-6,
            f"preconditioned residual*i^2 <= R_P^2 with the oracle fixed "
@@ -200,7 +201,7 @@ def test_criterion_09_admm_bounds_and_textbook_equality():
     radius2 = float(np.sum((nu0 + rho * (d @ x0) - nu_star) ** 2))
     accel = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="proposed")
     plain = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="plain")
-    idx = accel.iterations.astype(float)
+    idx = np.arange(1, len(accel.residuals) + 1)
     accel_worst = float(np.max(accel.infeasibility * rho ** 2 * idx ** 2))
     plain_worst = float(np.max(
         plain.infeasibility * rho ** 2 * idx / (1.0 - 1.0 / idx) ** (idx - 1.0)))
@@ -278,13 +279,13 @@ def test_criterion_11_saddle_gap_bound():
                               b2 @ b2.T / d2 + mu * np.eye(d2),
                               a=rng.normals(d1), b=rng.normals(d2))
         linear, shift = phi.stacked_operator()
-        u_star, v_star = np.split(np.linalg.solve(linear.entries, -shift), [d1])
+        u_star, v_star = np.split(np.linalg.solve(linear, -shift), [d1])
         lam = (0.1, 1.0, 10.0)[s % 3]
         u0, v0 = rng.normals(d1), rng.normals(d2)
         trace = accelerated_saddle_ppm(phi, lam, u0, v0, 100,
                                        saddle=(u_star, v_star))
         r2 = float(np.sum((u0 - u_star) ** 2) + np.sum((v0 - v_star) ** 2))
-        ratio = float(np.max(trace.gaps * 4.0 * lam * trace.iterations)) / r2
+        ratio = float(np.max(trace.gaps * 4.0 * lam * np.arange(1, len(trace.residuals) + 1))) / r2
         worst = max(worst, ratio)
         if ratio > 1.0 + 1e-6:
             violations.append((s, ratio))
@@ -307,10 +308,33 @@ def test_criterion_12_accelerated_rate_attained():
         s = math.tan(math.pi / (2 * n))
         resolvent = linear_resolvent(DenseLinearOperator([[0.0, s], [-s, 0.0]]), 1.0)
         trace = iterate(resolvent, START, n, "proposed", R=1.0)
-        scaled = trace.residuals * trace.iterations.astype(float) ** 2
+        scaled = trace.residuals * np.arange(1, len(trace.residuals) + 1) ** 2
         worst = max(worst, abs(scaled[-1] - 1.0))
         argmax_ok = argmax_ok and int(np.argmax(scaled)) == n - 1
     report(12, worst <= 1e-13 and argmax_ok,
            f"accelerated bound attained on the tan(pi/(2N)) rotation for N in "
            f"2,3,5,10,37,100,240: max |N^2 res_N / R^2 - 1| {worst:.2e} (tol 1e-13), "
            f"largest i^2 res_i at i = N: {argmax_ok}")
+
+
+def test_criterion_12_accelerated_rate_attained_in_60_digits():
+    # The same worst case in 60-digit arithmetic: the "proposed" recursion
+    # of iterate, with the rotation's resolvent in closed form, J(y) =
+    # (y0 - s y1, s y0 + y1) / (1 + s^2), so no float64 rounding enters.
+    worst, argmax_ok = mpmath.mpf(0), True
+    with mpmath.workdps(60):
+        for n in (2, 3, 5, 10, 37):
+            s = mpmath.tan(mpmath.pi / (2 * n))
+            x = y = y_prev = mpmath.matrix([1, 0])
+            scaled = []
+            for i in range(n):
+                x_new = mpmath.matrix([y[0] - s * y[1], s * y[0] + y[1]]) / (1 + s * s)
+                scaled.append((i + 1) ** 2 * mpmath.norm(x_new - y) ** 2)
+                beta = mpmath.mpf(i) / (i + 2)
+                x, y_prev, y = x_new, y, x_new + beta * (x_new - x) - beta * (x - y_prev)
+            worst = max(worst, abs(scaled[-1] - 1))
+            argmax_ok = argmax_ok and scaled.index(max(scaled)) == n - 1
+    report(12, worst <= mpmath.mpf("1e-40") and argmax_ok,
+           f"accelerated bound attained on the tan(pi/(2N)) rotation in 60 digits "
+           f"for N in 2,3,5,10,37: max |N^2 res_N / R^2 - 1| {mpmath.nstr(worst, 3)} "
+           f"(tol 1e-40), largest i^2 res_i at i = N: {argmax_ok}")

@@ -133,7 +133,7 @@ def _iterate_cases():
     start = rng.normals(2), rng.normals(3)
     engines = {
         "saddle": functools.partial(sp.accelerated_saddle_ppm, phi, 0.9, saddle=np.split(
-            np.linalg.solve(linear.entries, -shift), [2])),
+            np.linalg.solve(linear, -shift), [2])),
         "pdhg": functools.partial(sp.pdhg, f, g, phi.k, tau, tau),
     }
     for name, engine in engines.items():

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from proxpoint import (
     Momentum,
-    StepCoeffs,
     accelerated_ppm,
     accelerated_saddle_ppm,
     drs,
@@ -87,7 +86,7 @@ class TestAcceleratedPPM:
             op = random_monotone_operator(rng, dim)
             x0 = rng.normals(dim)
             trace = accelerated_ppm(linear_resolvent(op, 1.0), x0, 100)
-            scaled = trace.residuals * trace.iterations.astype(float) ** 2
+            scaled = trace.residuals * np.arange(1, len(trace.residuals) + 1) ** 2
             assert np.all(scaled <= (x0 @ x0) * (1.0 + 1e-9))
 
 
@@ -96,26 +95,40 @@ class TestGeneralPPM:
         op = random_monotone_operator(rng, 4)
         resolvent = linear_resolvent(op, 1.0)
         x0 = rng.normals(4)
-        trace_g = general_ppm(resolvent, StepCoeffs.ppm(12), x0, 12)
+        trace_g = general_ppm(resolvent, np.eye(11), x0, 12)
         trace_p = ppm(resolvent, x0, 12)
         assert_allclose(trace_g.xs, trace_p.xs, atol=1e-15)
         assert_allclose(trace_g.ys, trace_p.xs[:-1], atol=1e-15)
 
-    def test_iters_beyond_horizon_rejected(self):
+    @pytest.mark.parametrize("table, iters", [
+        (np.triu(np.ones((2, 2))), 3),
+        (np.diag([1.0, np.nan]), 3),
+        (np.diag([1.0, np.inf]), 3),
+        (np.zeros((2, 3)), 3),
+        (np.zeros((0, 0)), 1),
+        (np.ones(2), 3),
+        (np.eye(2), 4),
+    ], ids=["above the diagonal", "nan entry", "inf entry", "non-square", "empty",
+            "1-D", "iters beyond rows + 1"])
+    def test_bad_table_rejected(self, table, iters):
         with pytest.raises(ValueError):
-            general_ppm(lambda y: y, StepCoeffs.ppm(3), [0.0], 4)
+            general_ppm(lambda y: y, table, [0.0], iters)
 
-    def test_step_coeff_validation(self):
-        table = np.zeros((2, 2))
-        table[0, 1] = 0.5  # above the diagonal
-        with pytest.raises(ValueError):
-            StepCoeffs(3, table)
+    def test_wrong_shape_step_raises_naming_the_iteration(self):
+        message = "step returned shape (1,) at iteration 1, expected the start's shape (2,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            general_ppm(lambda y: np.array([1.0]), np.eye(3), [0.0, 0.0], 3)
+
+    def test_overflowing_residual_raises_naming_the_iteration(self):
+        with pytest.raises(FloatingPointError,
+                           match="non-finite residual or iterate at iteration 1$"):
+            general_ppm(lambda y: 1e200 * np.ones(2), np.eye(3), [0.0, 0.0], 3)
 
 
 class TestGuler:
     def test_t_sequence_start(self):
         trace = guler("first", lambda y: y, [1.0], 1)
-        assert len(trace) == 1  # engine runs; t-sequence checked directly
+        assert len(trace.residuals) == 1  # engine runs; t-sequence checked directly
         t0 = 1.0
         t1 = 0.5 * (1.0 + math.sqrt(5.0))
         assert t1 == pytest.approx(1.6180339887, abs=1e-9)
@@ -356,7 +369,7 @@ class TestExtrapolationDivergence:
     def test_final_extrapolation_is_never_formed(self, poison_after):
         poison_after(10)
         trace = accelerated_ppm(rotation_resolvent(10), START, 10, R=1.0)
-        assert len(trace) == 10 and np.all(np.isfinite(trace.residuals))
+        assert len(trace.residuals) == 10 and np.all(np.isfinite(trace.residuals))
 
     def test_a_step_failing_on_a_finite_point_keeps_its_error(self):
         def step(y):
@@ -366,7 +379,7 @@ class TestExtrapolationDivergence:
             accelerated_ppm(step, START, 3)
 
 
-TRACE_ARRAYS = ("iterations", "residuals", "bounds", "xs", "ys", "gaps")
+TRACE_ARRAYS = ("residuals", "bounds", "xs", "ys", "gaps")
 
 
 class TestTraceMemory:

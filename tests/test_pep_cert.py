@@ -1,12 +1,10 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from proxpoint import (
-    StepCoeffs,
     build_constraint_matrices,
     build_h,
     certificate_slack,
@@ -30,16 +28,15 @@ from conftest import (
 
 class TestBuildH:
     def test_first_row(self):
-        assert build_h(2).row(1)[0] == 1.0
+        assert build_h(2)[0, 0] == 1.0
 
     def test_second_row(self):
-        row = build_h(3).row(2)
-        assert_allclose(row, [-1.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
+        assert_allclose(build_h(3)[1, :2], [-1.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
 
     def test_rows_sum_to_one(self):
-        coeffs = build_h(101)
+        table = build_h(101)
         for i in range(1, 101):
-            assert coeffs.row(i).sum() == pytest.approx(1.0, abs=1e-13)
+            assert table[i - 1, :i].sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_small_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -63,6 +60,10 @@ class TestConstraintMatrices:
         assert_allclose(mats.B[2],
                         [[0.0, 0.5, 0.0], [0.5, 1.0, -0.5], [0.0, -0.5, 0.0]])
 
+    def test_table_shorter_than_horizon_rejected(self):
+        with pytest.raises(ValueError, match="fewer iterations"):
+            build_constraint_matrices(build_h(4), 5)
+
     def test_all_matrices_symmetric(self):
         mats = build_constraint_matrices(build_h(6), 6)
         for mat in list(mats.A.values()) + list(mats.B.values()) + [mats.C]:
@@ -73,15 +74,15 @@ class TestConstraintMatrices:
         # random monotone operator: validates every A and B matrix against
         # genuine operator data, not just the consecutive pairs.
         n = 7
-        coeffs = build_h(n)
+        table = build_h(n)
         op = random_monotone_operator(rng, 5)
         y0 = rng.normals(5)
-        trace = general_ppm(linear_resolvent(op, 0.7), coeffs, y0, n)
+        trace = general_ppm(linear_resolvent(op, 0.7), table, y0, n)
         radius = np.linalg.norm(y0)  # x* = 0 for a linear operator
         gs = [(trace.ys[i] - trace.xs[i + 1]) / radius for i in range(n)]
         vecs = gs + [y0 / radius]
         gram = np.array([[a @ b for b in vecs] for a in vecs])
-        mats = build_constraint_matrices(coeffs, n)
+        mats = build_constraint_matrices(table, n)
         for mat in list(mats.A.values()) + list(mats.B.values()):
             assert np.trace(mat @ gram) <= 1e-10
         assert np.trace(mats.C @ gram) <= 1.0 + 1e-12
@@ -96,7 +97,7 @@ class TestConstraintMatrices:
         gs = [trace.ys[i] - trace.xs[i + 1] for i in range(n)]  # lam = R = 1
         vecs = gs + [trace.ys[0]]  # x* = 0
         gram = np.array([[a @ b for b in vecs] for a in vecs])
-        mats = build_constraint_matrices(StepCoeffs.ppm(n), n)
+        mats = build_constraint_matrices(np.eye(n - 1), n)
         for mat in list(mats.A.values()) + list(mats.B.values()):
             assert np.trace(mat @ gram) <= 1e-12
         assert np.trace(mats.C @ gram) == pytest.approx(1.0, rel=1e-12)
@@ -149,7 +150,7 @@ class TestAgainstDenseReference:
 
     def test_build_h_table(self):
         for n in BIT_IDENTITY_HORIZONS:
-            assert np.array_equal(build_h(n).table, reference_build_h(n).table), n
+            assert np.array_equal(build_h(n), reference_build_h(n)), n
 
     def test_certificate_slack(self):
         for n in BIT_IDENTITY_HORIZONS:
@@ -268,18 +269,17 @@ class TestExactCertificate:
             table = exact_h_table(n)
             table[n - 2, :] += Fraction(1, 10 ** 9)
             table[n - 2, n - 2] -= Fraction(3, 10 ** 9)
-            coeffs = SimpleNamespace(table=table)
             a, b_n, c = exact_multipliers(n)
-            dense = b_n * constraint_b(coeffs, n, n)
+            dense = b_n * constraint_b(table, n, n)
             for i in range(2, n + 1):
-                dense += a[i] * constraint_a(coeffs, n, i - 1, i)
+                dense += a[i] * constraint_a(table, n, i - 1, i)
             dense[n, n] += c
             dense[n - 1, n - 1] -= 1
             assert (exact_slack(n, table) == dense).all(), n
 
     def test_float_table_is_the_rounded_rational_table(self):
         for n in (2, 3, 17, 97):
-            assert np.array_equal(exact_h_table(n).astype(float), build_h(n).table)
+            assert np.array_equal(exact_h_table(n).astype(float), build_h(n))
 
     def test_perturbed_table_breaks_the_identity(self):
         n = 6
