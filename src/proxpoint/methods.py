@@ -83,28 +83,32 @@ class Momentum:
         self.i = 0
         self.t = 1.0
 
-    def update(self, x_new, x_old, y_old, y_older):
-        """Next extrapolated point from ``x_{i+1}, x_i, y_i, y_{i-1}``."""
+    def update(self, x_new, x_old, d_new, d_old):
+        """Next extrapolated point from ``x_{i+1}, x_i`` and the displacements
+        ``d_new = x_{i+1} - y_i``, ``d_old = x_i - y_{i-1}`` (zero at a start)."""
         i = self.i
         if self.variant == "plain":
             y = x_new
         elif self.variant == "proposed":
             beta = i / (i + 2)
-            y = x_new + beta * (x_new - x_old) - beta * (x_old - y_older)
+            y = x_new + beta * (x_new - x_old) - beta * d_old
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * self.t * self.t))
             y = x_new + ((self.t - 1.0) / t_next) * (x_new - x_old)
             if self.variant == "guler2":
-                y = y + (self.t / t_next) * (x_new - y_old)
+                y = y + (self.t / t_next) * d_new
             self.t = t_next
         self.i = i + 1
         return y
 
 
+def _sq_norm(d):
+    # The same BLAS dot kernel as ``d @ d``, with less dispatch overhead.
+    return float(d.dot(d))
+
+
 def _euclidean_sq(x_new, y):
-    diff = x_new - y
-    # The same BLAS dot kernel as ``diff @ diff``, with less dispatch overhead.
-    return float(diff.dot(diff))
+    return _sq_norm(x_new - y)
 
 
 def _extrapolation_error(y, g):
@@ -129,7 +133,8 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
     value raises ``ValueError``. The bound column is filled when ``R``, a
     bound on the distance from ``x0`` to a fixed point, is known, the
     variant has a rate (``plain`` or ``proposed``) and no restart can
-    fire. ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)``.
+    fire. ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)``; the
+    Euclidean residual and the momentum rule read one ``x_{i+1} - y_i``.
 
     The trace is stored in arrays allocated once per run, one row per
     iteration, so a step must return a vector of the start's shape; any
@@ -166,7 +171,8 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
     x0 = as_vector(x0)
     scan = residual_sq is not _euclidean_sq
     mom = Momentum(variant)
-    x = y = y_prev = x0
+    d = zeros = np.zeros_like(x0)  # x_i - y_{i-1} at a start, where y_{i-1} = x_i
+    x = y = x0
     xs = np.empty((iters + 1, x0.size))
     xs[0] = x0
     ys = np.empty((iters, x0.size))
@@ -188,7 +194,8 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
             if x_new.shape != x0.shape:
                 raise ValueError(f"step returned shape {x_new.shape} at iteration "
                                  f"{g}, expected the start's shape {x0.shape}")
-            res = residual_sq(x_new, y)
+            d_prev, d = d, x_new - y
+            res = residual_sq(x_new, y) if scan else _sq_norm(d)
             if not (math.isfinite(res) and (not scan or np.isfinite(x_new).all())):
                 raise _extrapolation_error(y, g) or FloatingPointError(
                     f"non-finite residual or iterate at iteration {g}")
@@ -200,16 +207,16 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
             since_restart += 1
             if since_restart >= interval or (adaptive and res > prev_res):
                 mom.reset()
-                x = y = y_prev = x_new
+                x, y, d = x_new, x_new, zeros
                 restarts.append(g)
                 since_restart = 0
                 prev_res = math.inf
             else:
-                y_new = mom.update(x_new, x, y, y_prev)
+                y_new = mom.update(x_new, x, d, d_prev)
                 if scan and y_new is not x_new and not np.isfinite(y_new).all():
                     raise FloatingPointError(
                         f"non-finite extrapolated point after iteration {g}")
-                x, y_prev, y = x_new, y, y_new
+                x, y = x_new, y_new
                 prev_res = res
     rate = {"plain": ppm_rate_bound, "proposed": accelerated_rate_bound}.get(variant)
     bounds = None
@@ -311,7 +318,7 @@ def restarted(resolvent, x0, interval, iters, adaptive=False, R=None):
     ``restart`` the interval or ``"adaptive"``. Exactly one of the two is
     required.
 
-    Each restart re-initializes ``x = y = y_prev`` at the last iterate, so
+    Each restart re-initializes ``x = y`` at the last iterate, so
     ``interval = 1`` reduces to the proximal point method and
     ``interval >= iters`` reproduces the un-restarted accelerated run.
     """

@@ -34,6 +34,8 @@ __all__ = [
 PIVOT_TOL = 1e-14
 # Largest entrywise asymmetry accepted in a matrix that must be symmetric.
 SYMMETRY_TOL = 1e-12
+# Rows per block of ``QuadraticSaddle.gaps``.
+_GAP_BLOCK = 256
 
 
 class SingularSystemError(RuntimeError):
@@ -289,35 +291,36 @@ class QuadraticSaddle:
         if self.a.size != d1 or self.b.size != d2:
             raise ValueError("linear term dimensions disagree with the blocks")
 
-    def gap_scorer(self, u_star, v_star):
-        """``x -> phi(u, v*) - phi(u*, v)``, ``(u, v) = (x[:d1], x[d1:])``:
-        the saddle gap of a stacked iterate, nonnegative at a saddle point.
+    def gaps(self, u_star, v_star, xs):
+        """``phi(u, v*) - phi(u*, v)`` for each row ``(u, v) = (x[:d1], x[d1:])``
+        of ``xs``: the saddle gaps of stacked iterates, nonnegative at a saddle.
 
         The terms that depend only on ``(u*, v*)`` are computed once, the
-        others in the left-to-right order of the formula for ``phi``, so
-        each score is bit-identical to evaluating ``phi`` twice and
-        subtracting. The iterate is not validated: it must be a finite
-        float vector of length ``d1 + d2``.
+        others in the left-to-right order of the formula for ``phi``. Rows
+        are taken ``_GAP_BLOCK`` at a time as ``(1, d)`` and ``(d, 1)``
+        stacks, on which ``matmul`` runs the BLAS dot and gemv of the 1-D
+        products, so each gap is bit-identical to evaluating ``phi`` twice
+        and subtracting. The rows are not validated: they must be finite.
         """
         u_star, v_star = as_vector(u_star), as_vector(v_star)
-        q_uu, q_vv, k, a, b = self.q_uu, self.q_vv, self.k, self.a, self.b
+        q_uu, q_vv, k, a, b = self.q_uu, self.q_vv, self.k, self.a[None], self.b[None]
         d1 = q_uu.shape[0]
         # phi(u, v*) subtracts its last two terms one at a time, and
         # phi(u*, v) adds its first two before any iterate term.
         vqv_star = 0.5 * v_star @ (q_vv @ v_star)
-        bv_star = b @ v_star
-        head_u_star = 0.5 * u_star @ (q_uu @ u_star) + a @ u_star
-        k_u_star = k @ u_star
-
-        def score(x):
-            u, v = x[:d1], x[d1:]
-            at_v_star = float(0.5 * u @ (q_uu @ u) + a @ u + v_star @ (k @ u)
-                              - vqv_star - bv_star)
-            at_u_star = float(head_u_star + v @ k_u_star
-                              - 0.5 * v @ (q_vv @ v) - b @ v)
-            return at_v_star - at_u_star
-
-        return score
+        bv_star = self.b @ v_star
+        head_u_star = 0.5 * u_star @ (q_uu @ u_star) + self.a @ u_star
+        k_u_star, v_star = (k @ u_star)[:, None], v_star[None]
+        out = np.empty(len(xs))
+        for lo in range(0, len(xs), _GAP_BLOCK):
+            rows = xs[lo:lo + _GAP_BLOCK, None]
+            u, v = rows[..., :d1], rows[..., d1:]
+            u_col, v_col = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
+            at_v_star = (0.5 * u @ (q_uu @ u_col) + a @ u_col + v_star @ (k @ u_col)
+                         - vqv_star - bv_star)
+            at_u_star = head_u_star + v @ k_u_star - 0.5 * v @ (q_vv @ v_col) - b @ v_col
+            out[lo:lo + len(rows)] = (at_v_star - at_u_star).ravel()
+        return out
 
     def stacked_operator(self):
         """Saddle subdifferential as ``(matrix, constant shift)``.

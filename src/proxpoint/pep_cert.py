@@ -81,6 +81,8 @@ def _span(table, first, stop, size):
     The rows of ``h`` are added in ascending ``l``, each zero-padded to
     ``size``; this is a running sum of table rows, O(size) per row.
     """
+    if stop > len(table):
+        raise ValueError("step coefficients cover fewer iterations than requested")
     span = _zeros(table, size)
     for l in range(first, stop):
         span[:l + 1] += table[l, :l + 1]
@@ -160,8 +162,6 @@ def build_constraint_matrices(table, n):
     """
     if n < 2:
         raise ValueError("horizon must be at least 2")
-    if len(table) + 1 < n:
-        raise ValueError("step coefficients cover fewer iterations than requested")
     a = {(i, j): constraint_a(table, n, i, j)
          for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     b = {i: constraint_b(table, n, i) for i in range(1, n + 1)}

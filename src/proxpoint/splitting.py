@@ -260,7 +260,7 @@ def accelerated_saddle_ppm(phi, lam, u0, v0, iters, variant="proposed",
     x0 = np.concatenate([as_vector(u0), as_vector(v0)])
     trace = iterate(resolvent, x0, iters, variant, restart, R)
     if saddle is not None:
-        trace.gaps = np.fromiter(map(phi.gap_scorer(*saddle), trace.xs[1:]), float, iters)
+        trace.gaps = phi.gaps(*saddle, trace.xs[1:])
     return trace
 
 

@@ -141,8 +141,8 @@ def reference_certificate_slack(n):
 
 
 # The saddle value and gap, evaluated directly from phi's blocks; the
-# library's gap_scorer precomputes their constant parts and must match the
-# gap bit for bit (np.array_equal).
+# library's QuadraticSaddle.gaps precomputes their constant parts and must
+# match the gap bit for bit (np.array_equal).
 
 def reference_saddle_value(phi, u, v):
     u, v = as_vector(u), as_vector(v)

@@ -21,11 +21,12 @@ few ulps per operation stay many orders below it, while a change of
 method, rate, restart rule or reference moves values far beyond it.
 Residual, infeasibility and gap values are differences of iterates, so
 their rounding scales with the iterates rather than with the value: each
-of these columns also allows an absolute ``FLOOR = 1e-10`` times its
-largest magnitude for the same method (the late, tiny residuals). Header
-numbers get the same floor times ``max(1, R)``. Integers, labels and
-restart lists must match exactly. Whether the bytes match is reported
-(a warning and the ``bytes_identical`` property), not asserted.
+of these columns also allows an absolute ``FLOOR = 1e-15`` times its
+largest magnitude for the same method (the late, tiny residuals), a few
+ulps of that magnitude. Header numbers get the same floor times
+``max(1, R)``. Integers, labels and restart lists must match exactly.
+Whether the bytes match is reported (a warning and the
+``bytes_identical`` property), not asserted.
 
 The certificate CSV has its own rule. ``N`` and ``dual_value`` (``1/N^2``)
 must match exactly. ``deviation`` and ``min_eig`` are rounding-level
@@ -50,7 +51,9 @@ from conftest import random_monotone_operator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RTOL = 1e-9
-FLOOR = 1e-10
+FLOOR = 1e-15
+# The relative size of a planted move of one value.
+MOVE = 1e-7
 CERT_ATOL = 1e-13
 
 # golden file -> CLI arguments. At the preset's 100 iterations no adaptive
@@ -340,22 +343,50 @@ def test_restarted_golden_files_record_restarts(name):
     assert any(ln.startswith("# restarts[") for ln in lines)
 
 
-# A row whose residual is well above its method's floor: fig2's row 50, and
-# the first row of the trace (the largest residual of a plain run).
+def _last_rows():
+    """The last row of each method of a figure or trace CSV whose last
+    residual is above ``FLOOR / MOVE`` of its largest, so that a move of
+    ``MOVE`` relative exceeds the floor. The other methods end too close
+    to zero for the floor to gate their last rows."""
+    cases = []
+    for name in sorted(set(GOLDEN) | set(TRACES)):
+        if name.startswith("cert"):
+            continue
+        _, _, rows = _split((GOLDEN_DIR / name).read_text())
+        last, largest = {}, {}
+        for row, fields in enumerate(rows, 1):
+            value = float(fields[3])
+            last[fields[1]] = row, value
+            largest[fields[1]] = max(largest.get(fields[1], 0.0), abs(value))
+        cases += [pytest.param(name, row, id=f"{name}-{label}-last")
+                  for label, (row, value) in last.items()
+                  if MOVE * value > FLOOR * largest[label]]
+    return cases
+
+
+# A row whose residual is well above its method's floor: fig2's row 50, the
+# first row of the trace (the largest residual of a plain run), and the last
+# row of every method that ends above the floor.
 @pytest.mark.parametrize("name,row", [("fig2.restarted-adaptive.csv", 50),
-                                      ("trace.iterate.csv", 1)])
+                                      ("trace.iterate.csv", 1)] + _last_rows())
 def test_a_moved_value_fails_the_comparison(name, row):
     text = (GOLDEN_DIR / name).read_text()
-    for moved in (_moved_value(text, row), _shifted_restart(text)):
-        with pytest.raises(AssertionError):
-            assert_csv_matches(moved, text)
+    with pytest.raises(AssertionError):
+        assert_csv_matches(_moved_value(text, row), text)
+
+
+@pytest.mark.parametrize("name", ["fig2.restarted-adaptive.csv", "trace.iterate.csv"])
+def test_a_shifted_restart_fails_the_comparison(name):
+    text = (GOLDEN_DIR / name).read_text()
+    with pytest.raises(AssertionError):
+        assert_csv_matches(_shifted_restart(text), text)
 
 
 def _moved_value(text, row):
     lines = text.splitlines()
     at = row + next(i for i, ln in enumerate(lines) if ln.startswith("experiment,"))
     fields = lines[at].split(",")
-    fields[3] = repr(float(fields[3]) * (1.0 + 1e-7))
+    fields[3] = repr(float(fields[3]) * (1.0 + MOVE))
     return "\n".join(lines[:at] + [",".join(fields)] + lines[at + 1:])
 
 
@@ -368,7 +399,7 @@ def _shifted_restart(text):
 
 
 # Each trace case pins its values and its restarts: the comparison fails when
-# its largest residual moves by 1e-7 relative, when its first restart comes a
+# its largest residual moves by MOVE relative, when its first restart comes a
 # step later, and when a case without restarts records one.
 @pytest.mark.parametrize("move", ["value", "restart"])
 @pytest.mark.parametrize("name,case", TRACE_CASES)

@@ -316,6 +316,82 @@ CSV_RADII = [1.0, 4.6140828301552661, 3.4701733465433127, 2323.8385264128929,
              211.23626224192009, 17.748458383742907, 11.55333546588386]
 
 
+def written_out_rule(step, x0, iters, variant, restart, residual_sq):
+    """Kim's three-term rule and Guler's t-sequence as the papers state
+    them, on the points ``y_{i-1}``: ``(xs, ys, residuals, restarts)``."""
+    x = y = y_prev = x0
+    i, t = 0, 1.0
+    xs, ys, residuals, restarts = [x0], [], [], []
+    since, prev_res = 0, math.inf
+    for g in range(1, iters + 1):
+        x_new = step(y)
+        res = residual_sq(x_new, y)
+        xs.append(x_new)
+        ys.append(y)
+        residuals.append(res)
+        since += 1
+        if g == iters:
+            break
+        if since == restart or (restart == "adaptive" and res > prev_res):
+            x = y = y_prev = x_new
+            i, t, since, prev_res = 0, 1.0, 0, math.inf
+            restarts.append(g)
+            continue
+        if variant == "proposed":
+            beta = i / (i + 2)
+            y_new = x_new + beta * (x_new - x) - beta * (x - y_prev)
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y_new = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            if variant == "guler2":
+                y_new = y_new + (t / t_next) * (x_new - y)
+            t = t_next
+        i += 1
+        x, y_prev, y = x_new, y, y_new
+        prev_res = res
+    return np.array(xs), np.array(ys), np.array(residuals), restarts
+
+
+def euclidean_sq(x_new, y):
+    diff = x_new - y
+    return float(diff @ diff)
+
+
+class TestWrittenOutRule:
+    # The loop reads each displacement x_{i+1} - y_i once, where the rules
+    # subtract the points again: the results must agree bit for bit.
+    @pytest.mark.parametrize("custom", [False, True], ids=["euclidean", "custom residual"])
+    @pytest.mark.parametrize("restart", [None, 7, "adaptive"])
+    @pytest.mark.parametrize("variant", ["proposed", "guler1", "guler2"])
+    def test_loop_matches_the_rule_bit_for_bit(self, rng, variant, restart, custom):
+        step = linear_resolvent(random_monotone_operator(rng, 3), 0.8)
+        x0 = rng.normals(3)
+        keywords = {"residual_sq": first_block_sq} if custom else {}
+        trace = iterate(step, x0, 60, variant, restart, **keywords)
+        xs, ys, residuals, restarts = written_out_rule(
+            step, x0, 60, variant, restart, first_block_sq if custom else euclidean_sq)
+        assert np.array_equal(trace.xs, xs)
+        assert np.array_equal(trace.ys, ys)
+        assert np.array_equal(trace.residuals, residuals)
+        assert trace.restarts == restarts
+        assert restarts or restart is None
+
+    def test_signed_zeros_match_the_rule(self):
+        # At i = 0 the rule adds 0 * (x_i - y_{i-1}), so only a signed zero
+        # shows whether the loop reads the displacement +0 at a start and
+        # after a restart: here y_1[0] and, after the restart at 2, y_3[1]
+        # are -0.0.
+        def step():
+            points = iter([[-0.0, 0.5], [0.0, 0.0], [0.0, -0.0], [1.0, 1.0]])
+            return lambda y: np.array(next(points))
+
+        x0 = np.array([0.0, 1.0])
+        trace = iterate(step(), x0, 4, "proposed", 2)
+        _, ys, _, _ = written_out_rule(step(), x0, 4, "proposed", 2, euclidean_sq)
+        assert np.signbit(ys[1, 0]) and np.signbit(ys[3, 1])
+        assert trace.ys.tobytes() == ys.tobytes()
+
+
 class TestBoundColumn:
     @pytest.mark.parametrize("variant, rate", [("plain", ppm_rate_bound),
                                                ("proposed", accelerated_rate_bound)])
@@ -343,8 +419,8 @@ def poison_after(monkeypatch):
     def poison(g):
         update = Momentum.update
 
-        def poisoned(self, x_new, x_old, y_old, y_older):
-            y = update(self, x_new, x_old, y_old, y_older)
+        def poisoned(self, x_new, x_old, d_new, d_old):
+            y = update(self, x_new, x_old, d_new, d_old)
             return np.full_like(y, np.inf) if self.i == g else y
 
         monkeypatch.setattr(Momentum, "update", poisoned)

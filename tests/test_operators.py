@@ -136,16 +136,18 @@ class TestSaddleResolvent:
             QuadraticSaddle([[-1.0]], [[1.0]], [[0.0]])
 
 
-class TestGapScorer:
-    @pytest.mark.parametrize("d1, d2", [(1, 1), (2, 3), (5, 4)])
-    def test_matches_gap_bit_for_bit(self, rng, d1, d2):
+class TestGaps:
+    # Seven rows, one per scale; and rows spanning two full blocks and a
+    # partial third.
+    @pytest.mark.parametrize("d1, d2, rows", [(1, 1, 7), (2, 3, 7), (5, 4, 7),
+                                              (2, 3, 2 * operators._GAP_BLOCK + 3)])
+    def test_matches_gap_bit_for_bit(self, rng, d1, d2, rows):
         b1, b2 = rng.normal_matrix(d1, d1), rng.normal_matrix(d2, d2)
         phi = QuadraticSaddle(b1 @ b1.T, rng.normal_matrix(d2, d1), b2 @ b2.T,
                               a=rng.normals(d1), b=rng.normals(d2))
         u_star, v_star = rng.normals(d1), rng.normals(d2)
-        score = phi.gap_scorer(u_star, v_star)
-        points = [rng.normals(d1 + d2) * 10.0 ** k for k in range(-3, 4)]
-        assert np.array_equal([score(x) for x in points],
+        points = np.array([rng.normals(d1 + d2) * 10.0 ** (k % 7 - 3) for k in range(rows)])
+        assert np.array_equal(phi.gaps(u_star, v_star, points),
                               [reference_saddle_gap(phi, x[:d1], x[d1:], u_star, v_star)
                                for x in points])
 

@@ -64,6 +64,14 @@ class TestConstraintMatrices:
         with pytest.raises(ValueError, match="fewer iterations"):
             build_constraint_matrices(build_h(4), 5)
 
+    def test_a_table_shorter_than_horizon_rejected(self):
+        with pytest.raises(ValueError, match="fewer iterations"):
+            constraint_a(build_h(3), 5, 1, 5)
+
+    def test_b_table_shorter_than_horizon_rejected(self):
+        with pytest.raises(ValueError, match="fewer iterations"):
+            constraint_b(build_h(3), 5, 5)
+
     def test_all_matrices_symmetric(self):
         mats = build_constraint_matrices(build_h(6), 6)
         for mat in list(mats.A.values()) + list(mats.B.values()) + [mats.C]:

@@ -380,12 +380,13 @@ class TestPDHG:
         u0, v0 = rng.normals(4), rng.normals(3)
         trace = pdhg(f, g, k, tau, sigma, u0, v0, 20)
         mom = Momentum("proposed")
-        x = y = y_prev = np.concatenate([u0, v0])
+        x = y = np.concatenate([u0, v0])
+        disp = np.zeros_like(x)
         for i in range(20):
             x_new = lu_solve(factors, precond @ y - shift)
             assert np.max(np.abs(x_new - trace.xs[i + 1])) <= 1e-10
-            y_new = mom.update(x_new, x, y, y_prev)
-            x, y_prev, y = x_new, y, y_new
+            disp_prev, disp = disp, x_new - y
+            x, y = x_new, mom.update(x_new, x, disp, disp_prev)
 
     def test_homogeneous_case_uses_preconditioned_resolvent_directly(self, rng):
         # Without linear terms the identity is literally the module's
@@ -402,12 +403,13 @@ class TestPDHG:
         u0, v0 = rng.normals(4), rng.normals(3)
         trace = pdhg(f, g, k, tau, sigma, u0, v0, 15)
         mom = Momentum("proposed")
-        x = y = y_prev = np.concatenate([u0, v0])
+        x = y = np.concatenate([u0, v0])
+        disp = np.zeros_like(x)
         for i in range(15):
             x_new = resolvent(y)
             assert np.max(np.abs(x_new - trace.xs[i + 1])) <= 1e-10
-            y_new = mom.update(x_new, x, y, y_prev)
-            x, y_prev, y = x_new, y, y_new
+            disp_prev, disp = disp, x_new - y
+            x, y = x_new, mom.update(x_new, x, disp, disp_prev)
 
     def test_bilinear_game_narrative(self):
         inst = bilinear_game_instance(50, 25, 1)
@@ -665,12 +667,14 @@ class TestSharedEngine:
             return nu + rho * (d @ solve_x(nu, z))
 
         mom = Momentum("proposed")
-        w = y = y_prev = nu0 + rho * (d @ solve_x(nu0, z0))
+        w = y = nu0 + rho * (d @ solve_x(nu0, z0))
+        disp = np.zeros_like(w)
         restarts, prev_res, since = [], None, 0
         dual = trace.iterates["nu_hat"] + rho * (trace.iterates["x"][1:] @ d.T)
         for i in range(1, iters + 1):
             w_new = dual_step(y)
-            res = float((w_new - y) @ (w_new - y))
+            disp_prev, disp = disp, w_new - y
+            res = float(disp @ disp)
             assert np.max(np.abs(w_new - dual[i])) <= 1e-10
             assert res == pytest.approx(trace.residuals[i - 1], rel=1e-10, abs=1e-20)
             since += 1
@@ -678,12 +682,12 @@ class TestSharedEngine:
                               or (restart["restart"] == "adaptive"
                                   and prev_res is not None and res > prev_res)):
                 mom.reset()
-                w = y = y_prev = w_new
+                w = y = w_new
+                disp = np.zeros_like(w)
                 restarts.append(i)
                 since, prev_res = 0, None
             else:
-                y_new = mom.update(w_new, w, y, y_prev)
-                w, y_prev, y = w_new, y, y_new
+                w, y = w_new, mom.update(w_new, w, disp, disp_prev)
                 prev_res = res
         assert restarts and trace.restarts == restarts
 
