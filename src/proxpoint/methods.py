@@ -67,31 +67,30 @@ class ResidualTrace:
 class Momentum:
     """Extrapolation state shared by the accelerated engines.
 
-    Variants: ``plain`` (no extrapolation), ``proposed`` (inertia plus the
-    correction term that guarantees the 1/i^2 residual rate), ``guler1``
-    and ``guler2`` (t-sequence inertia, the second with an extra overshoot
-    term). ``reset`` restores the state used at a fresh start.
+    Variants: ``plain`` (no extrapolation), ``proposed`` (Halpern's step
+    ``y_{i+1} = ((i+1) (2 x_{i+1} - y_i) + anchor) / (i+2)`` on ``2J - I``:
+    Kim's three-term rule in exact arithmetic, with Lieder's 2021 proof of
+    its 1/i^2 rate), ``guler1`` and ``guler2`` (t-sequence inertia, the
+    second with an extra overshoot term). ``reset(anchor)`` starts afresh.
     """
 
-    def __init__(self, variant):
+    def __init__(self, variant, anchor):
         if variant not in _VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
         self.variant = variant
-        self.reset()
+        self.reset(anchor)
 
-    def reset(self):
-        self.i = 0
-        self.t = 1.0
+    def reset(self, anchor):
+        self.anchor, self.i, self.t = anchor, 0, 1.0
 
-    def update(self, x_new, x_old, d_new, d_old):
-        """Next extrapolated point from ``x_{i+1}, x_i`` and the displacements
-        ``d_new = x_{i+1} - y_i``, ``d_old = x_i - y_{i-1}`` (zero at a start)."""
+    def update(self, x_new, x_old, d_new):
+        """Next extrapolated point from ``x_{i+1}, x_i`` and the displacement
+        ``d_new = x_{i+1} - y_i``, so that ``x_{i+1} + d_new = (2J - I) y_i``."""
         i = self.i
         if self.variant == "plain":
             y = x_new
         elif self.variant == "proposed":
-            beta = i / (i + 2)
-            y = x_new + beta * (x_new - x_old) - beta * d_old
+            y = ((i + 1.0) * (x_new + d_new) + self.anchor) / (i + 2.0)
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * self.t * self.t))
             y = x_new + ((self.t - 1.0) / t_next) * (x_new - x_old)
@@ -126,15 +125,17 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
 
     ``step`` maps ``y -> x``, for example the resolvent ``J`` of ``lam*M``.
     ``variant`` is ``"plain"`` (``y_i = x_i``, the proximal point method),
-    ``"proposed"`` (inertia plus the correction term) or the inertia-only
-    ``"guler1"`` and ``"guler2"``. ``restart`` is ``None``, an integer
-    interval of at least 1 (a Python or numpy integer, not a bool), or
-    ``"adaptive"``: restart whenever the residual increases; any other
-    value raises ``ValueError``. The bound column is filled when ``R``, a
-    bound on the distance from ``x0`` to a fixed point, is known, the
-    variant has a rate (``plain`` or ``proposed``) and no restart can
-    fire. ``residual_sq`` scores the displacement ``(x_{i+1}, y_i)``; the
-    Euclidean residual and the momentum rule read one ``x_{i+1} - y_i``.
+    ``"proposed"`` (Halpern's step anchored at ``x0``: Kim's rule, with
+    Lieder's proof; see :class:`Momentum`) or the inertia-only ``"guler1"``
+    and ``"guler2"``. ``restart`` is ``None``, an integer interval of at
+    least 1 (a Python or numpy integer, not a bool), or ``"adaptive"``:
+    restart whenever the residual increases; any other value raises
+    ``ValueError``. A restart sets ``x = y`` to the last iterate and
+    re-anchors there. The bound column is filled when ``R``, a bound on the
+    distance from ``x0`` to a fixed point, is known, the variant has a rate
+    (``plain`` or ``proposed``) and no restart can fire. ``residual_sq``
+    scores ``(x_{i+1}, y_i)``; the Euclidean one shares ``x_{i+1} - y_i``
+    with the momentum rule.
 
     The trace is stored in arrays allocated once per run, one row per
     iteration, so a step must return a vector of the start's shape; any
@@ -170,8 +171,7 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
                          f"'adaptive', got {restart!r}")
     x0 = as_vector(x0)
     scan = residual_sq is not _euclidean_sq
-    mom = Momentum(variant)
-    d = zeros = np.zeros_like(x0)  # x_i - y_{i-1} at a start, where y_{i-1} = x_i
+    mom = Momentum(variant, x0)
     x = y = x0
     xs = np.empty((iters + 1, x0.size))
     xs[0] = x0
@@ -194,7 +194,7 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
             if x_new.shape != x0.shape:
                 raise ValueError(f"step returned shape {x_new.shape} at iteration "
                                  f"{g}, expected the start's shape {x0.shape}")
-            d_prev, d = d, x_new - y
+            d = x_new - y
             res = residual_sq(x_new, y) if scan else _sq_norm(d)
             if not (math.isfinite(res) and (not scan or np.isfinite(x_new).all())):
                 raise _extrapolation_error(y, g) or FloatingPointError(
@@ -206,13 +206,12 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
                 break
             since_restart += 1
             if since_restart >= interval or (adaptive and res > prev_res):
-                mom.reset()
-                x, y, d = x_new, x_new, zeros
+                mom.reset(x_new)
+                x = y = x_new
                 restarts.append(g)
-                since_restart = 0
-                prev_res = math.inf
+                since_restart, prev_res = 0, math.inf
             else:
-                y_new = mom.update(x_new, x, d, d_prev)
+                y_new = mom.update(x_new, x, d)
                 if scan and y_new is not x_new and not np.isfinite(y_new).all():
                     raise FloatingPointError(
                         f"non-finite extrapolated point after iteration {g}")
@@ -286,12 +285,13 @@ def general_ppm(resolvent, table, y0, iters):
 
 
 def accelerated_ppm(resolvent, x0, iters, R=None):
-    """Accelerated proximal point method with the correction term: an alias
-    of ``iterate(resolvent, x0, iters, "proposed", R=R)``.
+    """Accelerated proximal point method: an alias of
+    ``iterate(resolvent, x0, iters, "proposed", R=R)``.
 
-    Starting from ``x0 = y0 = y_{-1}``, iterates ``x_{i+1} = J(y_i)``,
-    ``y_{i+1} = x_{i+1} + i/(i+2) (x_{i+1} - x_i) - i/(i+2) (x_i -
-    y_{i-1})``; the residual obeys ``||x_i - y_{i-1}||^2 <= R^2 / i^2``.
+    From ``y_0 = x0``: ``x_{i+1} = J(y_i)`` and Halpern's step on ``2J - I``,
+    ``y_{i+1} = ((i+1) (2 x_{i+1} - y_i) + y_0) / (i+2)``. In exact
+    arithmetic this is Kim's ``y_{i+1} = x_{i+1} + i/(i+2) (x_{i+1} - 2 x_i
+    + y_{i-1})``; Lieder (2021) proves ``||x_i - y_{i-1}||^2 <= R^2/i^2``.
     """
     return iterate(resolvent, x0, iters, "proposed", R=R)
 
@@ -318,9 +318,8 @@ def restarted(resolvent, x0, interval, iters, adaptive=False, R=None):
     ``restart`` the interval or ``"adaptive"``. Exactly one of the two is
     required.
 
-    Each restart re-initializes ``x = y`` at the last iterate, so
-    ``interval = 1`` reduces to the proximal point method and
-    ``interval >= iters`` reproduces the un-restarted accelerated run.
+    Each restart re-anchors at the last iterate, so ``interval = 1`` is the
+    proximal point method and ``interval >= iters`` the un-restarted run.
     """
     if (interval is None) is not bool(adaptive):
         raise ValueError("restarted takes exactly one of an interval and adaptive=True")

