@@ -21,7 +21,6 @@ _EXPORTS = {
         "yosida",
     ),
     "methods": (
-        "Momentum",
         "ResidualTrace",
         "accelerated_ppm",
         "forward_method",

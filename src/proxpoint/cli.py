@@ -244,13 +244,18 @@ def _run_admm_experiment(config):
                                sp.ProxDescriptor.l1(d2, gamma), cons, rho)
     x0, z0, nu0 = np.zeros(p["d1"]), np.zeros(d2), np.zeros(d2)
 
-    # R is the distance from the start to the dual Douglas-Rachford fixed
-    # point nu* + rho (A x* - c) that ADMM's iterates converge to.
+    # R is the distance from the run's first dual point nu0 + rho (A x_1 - c),
+    # x_1 the x-update at (nu0, z0), to the dual Douglas-Rachford fixed point
+    # nu* + rho (A x* - c) that ADMM's iterates converge to.
     x_star, nu_star = tv_solution(inst["H"], inst["b"], gamma)
-    eta0 = nu0 + rho * (cons.A @ x0 - cons.c)
     eta_star = nu_star + rho * (cons.A @ x_star - cons.c)
-    line, radius = _radius_line(engine, (x_star, cons.A @ x_star, nu_star),
-                                lambda: float(np.linalg.norm(eta0 - eta_star)),
+
+    def distance():
+        first = engine(x0, z0, nu0, 1, "plain").iterates
+        eta0 = first["nu_hat"][0] + rho * (cons.A @ first["x"][1] - cons.c)
+        return float(np.linalg.norm(eta0 - eta_star))
+
+    line, radius = _radius_line(engine, (x_star, cons.A @ x_star, nu_star), distance,
                                 "exact (KKT point of the TV least-squares problem)")
     meta = [f"# problem=tv_least_squares d1={p['d1']} p={p['p']} seed={seed}"
             f" gamma={_fmt(gamma)} rho={_fmt(rho)}"

@@ -4,9 +4,10 @@ All engines consume a resolvent (any callable ``y -> x``) and return a
 :class:`ResidualTrace` holding the iterates, the squared fixed-point
 residuals ``||x_i - y_{i-1}||^2``, and, when the initial distance ``R``
 to a zero is known, the matching theoretical bound per iteration. Every
-engine except :func:`general_ppm` runs on the one momentum loop
-:func:`iterate`, as ``iterate(step, x0, iters, variant, restart, R)``;
-``ppm``, ``accelerated_ppm``, ``guler`` and ``restarted`` are aliases.
+engine except :func:`general_ppm` runs on :func:`iterate`, the one loop,
+which holds its extrapolation state itself: ``ppm``, ``accelerated_ppm``,
+``guler`` and ``restarted`` are aliases of ``iterate(step, x0, iters,
+variant, restart, R)``.
 """
 
 import math
@@ -19,7 +20,6 @@ from .operators import _check_positive, _square_matrix, as_vector
 
 __all__ = [
     "ResidualTrace",
-    "Momentum",
     "iterate",
     "ppm",
     "general_ppm",
@@ -51,7 +51,7 @@ class ResidualTrace:
     supplied and ``infeasibility`` the ADMM constraint violation
     ``||A x_{i+1} + B z_i - c||^2``. ``iterates`` is empty except on
     ADMM, which fills it with its primal iterates ``x`` and ``z`` and its
-    multipliers ``nu_hat`` and ``eta_hat``.
+    multiplier ``nu_hat``.
     """
 
     residuals: np.ndarray
@@ -64,50 +64,9 @@ class ResidualTrace:
     iterates: dict = field(default_factory=dict)
 
 
-class Momentum:
-    """Extrapolation state shared by the accelerated engines.
-
-    Variants: ``plain`` (no extrapolation), ``proposed`` (Halpern's step
-    ``y_{i+1} = ((i+1) (2 x_{i+1} - y_i) + anchor) / (i+2)`` on ``2J - I``:
-    Kim's three-term rule in exact arithmetic, with Lieder's 2021 proof of
-    its 1/i^2 rate), ``guler1`` and ``guler2`` (t-sequence inertia, the
-    second with an extra overshoot term). ``reset(anchor)`` starts afresh.
-    """
-
-    def __init__(self, variant, anchor):
-        if variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
-        self.variant = variant
-        self.reset(anchor)
-
-    def reset(self, anchor):
-        self.anchor, self.i, self.t = anchor, 0, 1.0
-
-    def update(self, x_new, x_old, d_new):
-        """Next extrapolated point from ``x_{i+1}, x_i`` and the displacement
-        ``d_new = x_{i+1} - y_i``, so that ``x_{i+1} + d_new = (2J - I) y_i``."""
-        i = self.i
-        if self.variant == "plain":
-            y = x_new
-        elif self.variant == "proposed":
-            y = ((i + 1.0) * (x_new + d_new) + self.anchor) / (i + 2.0)
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * self.t * self.t))
-            y = x_new + ((self.t - 1.0) / t_next) * (x_new - x_old)
-            if self.variant == "guler2":
-                y = y + (self.t / t_next) * d_new
-            self.t = t_next
-        self.i = i + 1
-        return y
-
-
 def _sq_norm(d):
     # The same BLAS dot kernel as ``d @ d``, with less dispatch overhead.
     return float(d.dot(d))
-
-
-def _euclidean_sq(x_new, y):
-    return _sq_norm(x_new - y)
 
 
 def _extrapolation_error(y, g):
@@ -120,22 +79,24 @@ def _extrapolation_error(y, g):
 
 
 def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
-            residual_sq=_euclidean_sq):
-    """The one momentum loop: ``x_{i+1} = step(y_i)`` plus a momentum rule.
+            residual_sq=None):
+    """The one momentum loop: ``x_{i+1} = step(y_i)`` plus an extrapolation
+    rule, with ``k`` the iterations since the last anchor.
 
     ``step`` maps ``y -> x``, for example the resolvent ``J`` of ``lam*M``.
     ``variant`` is ``"plain"`` (``y_i = x_i``, the proximal point method),
-    ``"proposed"`` (Halpern's step anchored at ``x0``: Kim's rule, with
-    Lieder's proof; see :class:`Momentum`) or the inertia-only ``"guler1"``
-    and ``"guler2"``. ``restart`` is ``None``, an integer interval of at
-    least 1 (a Python or numpy integer, not a bool), or ``"adaptive"``:
-    restart whenever the residual increases; any other value raises
-    ``ValueError``. A restart sets ``x = y`` to the last iterate and
-    re-anchors there. The bound column is filled when ``R``, a bound on the
-    distance from ``x0`` to a fixed point, is known, the variant has a rate
-    (``plain`` or ``proposed``) and no restart can fire. ``residual_sq``
-    scores ``(x_{i+1}, y_i)``; the Euclidean one shares ``x_{i+1} - y_i``
-    with the momentum rule.
+    ``"proposed"`` (Halpern's step ``y_{i+1} = (k (2 x_{i+1} - y_i) +
+    anchor) / (k + 1)`` on ``2J - I``, anchored at ``x0``: Kim's rule, with
+    Lieder's proof) or the inertia-only ``"guler1"`` and ``"guler2"``.
+    ``restart`` is ``None``, an integer interval of at least 1 (a Python or
+    numpy integer, not a bool), or ``"adaptive"``: restart whenever the
+    residual increases; any other value raises ``ValueError``. A restart
+    sets ``x = y`` to the last iterate and re-anchors there. The bound
+    column is filled when ``R``, a bound on the distance from ``x0`` to a
+    fixed point, is known, the variant has a rate (``plain`` or
+    ``proposed``) and no restart can fire. ``residual_sq`` scores
+    ``(x_{i+1}, y_i)``; the Euclidean default shares ``x_{i+1} - y_i`` with
+    the extrapolation rule.
 
     The trace is stored in arrays allocated once per run, one row per
     iteration, so a step must return a vector of the start's shape; any
@@ -170,15 +131,16 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
         raise ValueError("restart must be None, an integer interval >= 1 or "
                          f"'adaptive', got {restart!r}")
     x0 = as_vector(x0)
-    scan = residual_sq is not _euclidean_sq
-    mom = Momentum(variant, x0)
-    x = y = x0
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
+    scan = residual_sq is not None
+    x = y = anchor = x0
     xs = np.empty((iters + 1, x0.size))
     xs[0] = x0
     ys = np.empty((iters, x0.size))
     residuals = np.empty(iters)
     restarts = []
-    since_restart = 0
+    k, t = 0, 1.0
     prev_res = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for g in range(1, iters + 1):
@@ -204,19 +166,28 @@ def iterate(step, x0, iters, variant="plain", restart=None, R=None, *,
             residuals[g - 1] = res
             if g == iters:
                 break
-            since_restart += 1
-            if since_restart >= interval or (adaptive and res > prev_res):
-                mom.reset(x_new)
-                x = y = x_new
+            k += 1
+            if k >= interval or (adaptive and res > prev_res):
+                anchor = x = y = x_new
+                t, k, prev_res = 1.0, 0, math.inf
                 restarts.append(g)
-                since_restart, prev_res = 0, math.inf
+                continue
+            if variant == "plain":
+                y_new = x_new
+            elif variant == "proposed":
+                # x_{i+1} + d is the reflected resolvent (2J - I) y_i.
+                y_new = (k * (x_new + d) + anchor) / (k + 1.0)
             else:
-                y_new = mom.update(x_new, x, d)
-                if scan and y_new is not x_new and not np.isfinite(y_new).all():
-                    raise FloatingPointError(
-                        f"non-finite extrapolated point after iteration {g}")
-                x, y = x_new, y_new
-                prev_res = res
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                y_new = x_new + ((t - 1.0) / t_next) * (x_new - x)
+                if variant == "guler2":
+                    y_new = y_new + (t / t_next) * d
+                t = t_next
+            if scan and y_new is not x_new and not np.isfinite(y_new).all():
+                raise FloatingPointError(
+                    f"non-finite extrapolated point after iteration {g}")
+            x, y = x_new, y_new
+            prev_res = res
     rate = {"plain": ppm_rate_bound, "proposed": accelerated_rate_bound}.get(variant)
     bounds = None
     if R is not None and rate is not None and not adaptive and interval >= iters:

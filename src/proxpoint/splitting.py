@@ -424,9 +424,9 @@ def admm(f, g, constraint, rho, x0, z0, nu0, iters, variant="proposed", restart=
     An l1 ``g`` needs ``B = I`` or ``B = -I`` and is one soft-thresholding.
 
     Returns a trace whose ``iterates`` hold ``x`` (rows ``x_0 ..
-    x_{iters+1}``), ``z``, ``nu_hat`` and ``eta_hat``, the multiplier
-    with ``eta_hat_i + rho (A x_{i+1} - c)`` equal to the extrapolated
-    dual point (``eta_hat = nu_hat`` on plain runs).
+    x_{iters+1}``), ``z`` and ``nu_hat``; ``nu_hat_i + rho (A x_{i+1} -
+    c)`` is the dual point after iteration ``i``, and ``i = 0`` the run's
+    first one.
     """
     _check_positive(rho, "rho")
     if variant not in ("plain", "proposed"):
@@ -457,8 +457,6 @@ def admm(f, g, constraint, rho, x0, z0, nu0, iters, variant="proposed", restart=
         raise FloatingPointError(
             f"non-finite residual or iterate at iteration {overflow[0] + 1}")
     trace.infeasibility, trace.residuals = trace.residuals, residuals
-    xs, ys = trace.xs, trace.ys
-    trace.iterates.update(
-        x=np.vstack([x0, xs[:, dx:]]), z=xs[:, d2:dx], nu_hat=xs[:, :d2],
-        eta_hat=ys[:, :d2] + rho * (ys[:, dx:] - xs[:-1, dx:]) @ constraint.A.T)
+    xs = trace.xs
+    trace.iterates.update(x=np.vstack([x0, xs[:, dx:]]), z=xs[:, d2:dx], nu_hat=xs[:, :d2])
     return trace

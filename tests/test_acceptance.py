@@ -198,7 +198,9 @@ def test_criterion_09_admm_bounds_and_textbook_equality():
     oracle = admm(f, g, cons, rho, x0, z0, nu0, 10_000, variant="plain")
     nu_star = (oracle.iterates["nu_hat"][-1]
                + rho * (d @ oracle.iterates["x"][-1]))
-    radius2 = float(np.sum((nu0 + rho * (d @ x0) - nu_star) ** 2))
+    # R is measured from the run's first dual point, at x_1 = x(nu0, z0).
+    eta0 = oracle.iterates["nu_hat"][0] + rho * (d @ oracle.iterates["x"][1])
+    radius2 = float(np.sum((eta0 - nu_star) ** 2))
     accel = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="proposed")
     plain = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="plain")
     idx = np.arange(1, len(accel.residuals) + 1)

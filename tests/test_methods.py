@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proxpoint import (
-    Momentum,
     SplitMix64,
     accelerated_ppm,
     accelerated_saddle_ppm,
@@ -24,8 +23,7 @@ from proxpoint import (
     toy_saddle,
     yosida,
 )
-from proxpoint.methods import (_euclidean_sq, accelerated_rate_bound, iterate,
-                               ppm_rate_bound)
+from proxpoint.methods import _sq_norm, accelerated_rate_bound, iterate, ppm_rate_bound
 from conftest import random_monotone_operator
 
 START = np.array([1.0, 0.0])
@@ -294,7 +292,7 @@ def first_block_sq(x_new, y):
 class TestOneScanPerIteration:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("variant", ["plain", "proposed"])
-    @pytest.mark.parametrize("residual_sq", [_euclidean_sq, first_block_sq])
+    @pytest.mark.parametrize("residual_sq", [None, first_block_sq])
     def test_bad_entry_stops_the_run_at_its_iteration(self, bad, variant,
                                                       residual_sq):
         # The Euclidean residual is the only scan of x_new: a bad entry
@@ -314,7 +312,7 @@ class TestOneScanPerIteration:
 
 # The bound radii of the figure CSVs (fig1 and fig2 have R = 1).
 CSV_RADII = [1.0, 4.6140828301552661, 3.4701733465433127, 2323.8385264128929,
-             211.23626224192009, 17.748458383742907, 11.55333546588386]
+             211.23626224192009, 17.668970178691179, 11.497253191336714]
 
 
 def written_out_rule(step, x0, iters, variant, restart, residual_sq):
@@ -437,43 +435,68 @@ class TestResidualDot:
         for n in range(1, 1001):
             x, y = rng.normals(n), rng.normals(n)
             diff = x - y
-            assert _euclidean_sq(x, y) == float(diff @ diff)
+            assert _sq_norm(diff) == float(diff @ diff)
 
 
-@pytest.fixture
-def poison_after(monkeypatch):
-    """Make the extrapolated point formed after iteration ``g`` infinite."""
-
-    def poison(g):
-        update = Momentum.update
-
-        def poisoned(self, x_new, x_old, d_new):
-            y = update(self, x_new, x_old, d_new)
-            return np.full_like(y, np.inf) if self.i == g else y
-
-        monkeypatch.setattr(Momentum, "update", poisoned)
-
-    return poison
+# From HUGE an identity step leaves every residual 0, but the anchored
+# point after iteration 4, (4 * 4e307 + 4e307) / 5, overflows in its sum.
+HUGE = np.array([4e307, 0.0])
 
 
 class TestExtrapolationDivergence:
     # A non-finite extrapolated point reaches the next step with the
     # Euclidean residual; the error must still name the iteration after
     # which the point was formed, whatever the step does with it.
-    @pytest.mark.parametrize("step", [rotation_resolvent(10), lambda y: 0.5 * y],
+    @pytest.mark.parametrize("step", [linear_resolvent(np.zeros((2, 2)), 1.0),
+                                      lambda y: y],
                              ids=["validating resolvent", "plain step"])
-    @pytest.mark.parametrize("residual_sq", [_euclidean_sq, first_block_sq])
-    @pytest.mark.parametrize("variant", ["proposed", "guler1", "guler2"])
-    def test_same_error_and_iteration(self, poison_after, step, residual_sq, variant):
-        poison_after(4)
+    def test_euclidean_residual_names_the_iteration(self, step):
         with pytest.raises(FloatingPointError) as info:
-            iterate(step, START, 10, variant, residual_sq=residual_sq)
+            iterate(step, HUGE, 10, "proposed")
         assert str(info.value) == "non-finite extrapolated point after iteration 4"
 
-    def test_final_extrapolation_is_never_formed(self, poison_after):
-        poison_after(10)
-        trace = accelerated_ppm(rotation_resolvent(10), START, 10, R=1.0)
-        assert len(trace.residuals) == 10 and np.all(np.isfinite(trace.residuals))
+    # Guler's rules have no Euclidean case: their momentum is a sum of
+    # displacements, each under 1.4e154 while its square is finite, which
+    # no point of magnitude 1e308 can feel.
+    @pytest.mark.parametrize("halve", [linear_resolvent(np.eye(2), 1.0),
+                                       lambda y: 0.5 * y],
+                             ids=["validating resolvent", "plain step"])
+    @pytest.mark.parametrize("variant", ["proposed", "guler1", "guler2"])
+    def test_custom_residual_names_the_iteration(self, variant, halve):
+        # From its 4th call the step sets the entry first_block_sq never
+        # reads to +-1.5e308, finite, so only the engine's scan of the
+        # extrapolated point can catch the overflow.
+        calls = []
+
+        def step(y):
+            calls.append(y)
+            x = halve(y)
+            if len(calls) >= 4:
+                x[1] = 1.5e308 if len(calls) % 2 else -1.5e308
+            return x
+
+        with pytest.raises(FloatingPointError) as info:
+            iterate(step, START, 10, variant, residual_sq=first_block_sq)
+        assert str(info.value) == "non-finite extrapolated point after iteration 4"
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("residual_sq", [None, first_block_sq])
+    @pytest.mark.parametrize("step", [linear_resolvent(np.zeros((2, 2)), 1.0),
+                                      lambda y: y],
+                             ids=["validating resolvent", "plain step"])
+    def test_a_restart_resets_the_anchor_weight(self, step, residual_sq):
+        # From HUGE the weight k = 4 overflows; restarting every 4
+        # iterations re-anchors before it is reached, every time.
+        trace = iterate(step, HUGE, 20, "proposed", 4, residual_sq=residual_sq)
+        assert trace.restarts == [4, 8, 12, 16]
+        assert np.all(trace.residuals == 0.0) and np.all(trace.ys == HUGE)
+        with pytest.raises(FloatingPointError,
+                           match="extrapolated point after iteration 4$"):
+            iterate(step, HUGE, 20, "proposed", 5, residual_sq=residual_sq)
+
+    def test_final_extrapolation_is_never_formed(self):
+        trace = iterate(linear_resolvent(np.zeros((2, 2)), 1.0), HUGE, 4, "proposed")
+        assert np.all(trace.residuals == 0.0)
 
     def test_a_step_failing_on_a_finite_point_keeps_its_error(self):
         def step(y):

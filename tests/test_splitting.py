@@ -35,7 +35,7 @@ from proxpoint import (
     yosida,
 )
 from proxpoint import SplitMix64, splitting
-from proxpoint.methods import Momentum, _euclidean_sq, iterate
+from proxpoint.methods import iterate
 from proxpoint.problems import PRESETS
 from conftest import lu_solve_factor, pdhg_matrix, random_monotone_operator
 
@@ -379,12 +379,9 @@ class TestPDHG:
         factors = lu_factor(precond + linear)
         u0, v0 = rng.normals(4), rng.normals(3)
         trace = pdhg(f, g, k, tau, sigma, u0, v0, 20)
-        x = y = np.concatenate([u0, v0])
-        mom = Momentum("proposed", x)
-        for i in range(20):
-            x_new = lu_solve(factors, precond @ y - shift)
-            assert np.max(np.abs(x_new - trace.xs[i + 1])) <= 1e-10
-            x, y = x_new, mom.update(x_new, x, x_new - y)
+        ppm_trace = iterate(lambda y: lu_solve(factors, precond @ y - shift),
+                            np.concatenate([u0, v0]), 20, "proposed")
+        assert np.max(np.abs(ppm_trace.xs - trace.xs)) <= 1e-10
 
     def test_homogeneous_case_uses_preconditioned_resolvent_directly(self, rng):
         # Without linear terms the identity is literally the module's
@@ -400,12 +397,8 @@ class TestPDHG:
         resolvent = preconditioned_resolvent_map(linear, pdhg_matrix(k, tau, sigma), 1.0)
         u0, v0 = rng.normals(4), rng.normals(3)
         trace = pdhg(f, g, k, tau, sigma, u0, v0, 15)
-        x = y = np.concatenate([u0, v0])
-        mom = Momentum("proposed", x)
-        for i in range(15):
-            x_new = resolvent(y)
-            assert np.max(np.abs(x_new - trace.xs[i + 1])) <= 1e-10
-            x, y = x_new, mom.update(x_new, x, x_new - y)
+        ppm_trace = iterate(resolvent, np.concatenate([u0, v0]), 15, "proposed")
+        assert np.max(np.abs(ppm_trace.xs - trace.xs)) <= 1e-10
 
     def test_bilinear_game_narrative(self):
         inst = bilinear_game_instance(50, 25, 1)
@@ -544,20 +537,21 @@ class TestADMM:
         assert np.all(trace.residuals == 0.0)
 
     def test_residual_identity(self):
-        # nu_i - eta_{i-1} reconstructed from the hat variables equals
-        # rho * (A x_{i+1} + B z_i - c) along the whole run.
+        # The dual point nu_i = nu_hat_i + rho (A x_{i+1} - c) minus the
+        # extrapolated one eta_{i-1} fed to iteration i equals
+        # rho * (A x_{i+1} + B z_i - c) along the whole run; eta is rebuilt
+        # from the dual points by the anchored rule, anchored at nu_0.
         _, f, g, cons, x0, z0, nu0 = tv_setup()
         rho = 0.05
         trace = admm(f, g, cons, rho, x0, z0, nu0, 100, variant="proposed")
         xs = trace.iterates["x"]
         zs = trace.iterates["z"]
-        nu_hat = trace.iterates["nu_hat"]
-        eta_hat = trace.iterates["eta_hat"]
+        nu = trace.iterates["nu_hat"] + rho * (xs[1:] @ cons.A.T - cons.c)
+        eta_prev = nu[0]
         for i in range(1, 100):
-            nu_i = nu_hat[i] + rho * (cons.A @ xs[i + 1] - cons.c)
-            eta_prev = eta_hat[i - 1] + rho * (cons.A @ xs[i] - cons.c)
-            gap = nu_i - eta_prev - rho * cons.residual(xs[i + 1], zs[i])
+            gap = nu[i] - eta_prev - rho * cons.residual(xs[i + 1], zs[i])
             assert np.linalg.norm(gap) <= 1e-10
+            eta_prev = (i * (2.0 * nu[i] - eta_prev) + nu[0]) / (i + 1.0)
 
     def test_infeasibility_bounds_against_dual_oracle(self):
         _, f, g, cons, x0, z0, nu0 = tv_setup()
@@ -565,7 +559,9 @@ class TestADMM:
         oracle = admm(f, g, cons, rho, x0, z0, nu0, 10_000, variant="plain")
         nu_star = (oracle.iterates["nu_hat"][-1]
                    + rho * (cons.A @ oracle.iterates["x"][-1] - cons.c))
-        eta0 = nu0 + rho * (cons.A @ x0 - cons.c)
+        # R is measured from the run's first dual point, at x_1 = x(nu0, z0).
+        eta0 = (oracle.iterates["nu_hat"][0]
+                + rho * (cons.A @ oracle.iterates["x"][1] - cons.c))
         radius2 = float(np.sum((eta0 - nu_star) ** 2))
         accel = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="proposed")
         plain = admm(f, g, cons, rho, x0, z0, nu0, 200, variant="plain")
@@ -646,7 +642,7 @@ class TestSharedEngine:
     @pytest.mark.parametrize("restart", [{"restart": 20}, {"restart": "adaptive"}])
     def test_accelerated_admm_is_momentum_on_the_dual_point(self, restart):
         # Accelerated ADMM extrapolates the dual Douglas-Rachford point
-        # w = nu_hat + rho (A x - c); drive that map by hand with Momentum.
+        # w = nu_hat + rho (A x - c); run that map through the loop itself.
         inst, f, g, cons, x0, z0, nu0 = tv_setup()
         rho, gamma, iters = 0.05, 3.0, 100
         trace = admm(f, g, cons, rho, x0, z0, nu0, iters, variant="proposed",
@@ -662,28 +658,12 @@ class TestSharedEngine:
             nu = w - rho * z
             return nu + rho * (d @ solve_x(nu, z))
 
-        w = y = nu0 + rho * (d @ solve_x(nu0, z0))
-        mom = Momentum("proposed", w)
-        restarts, prev_res, since = [], None, 0
-        dual = trace.iterates["nu_hat"] + rho * (trace.iterates["x"][1:] @ d.T)
-        for i in range(1, iters + 1):
-            w_new = dual_step(y)
-            disp = w_new - y
-            res = float(disp @ disp)
-            assert np.max(np.abs(w_new - dual[i])) <= 1e-10
-            assert res == pytest.approx(trace.residuals[i - 1], rel=1e-10, abs=1e-20)
-            since += 1
-            if i < iters and (since == restart["restart"]
-                              or (restart["restart"] == "adaptive"
-                                  and prev_res is not None and res > prev_res)):
-                mom.reset(w_new)
-                w = y = w_new
-                restarts.append(i)
-                since, prev_res = 0, None
-            else:
-                w, y = w_new, mom.update(w_new, w, disp)
-                prev_res = res
-        assert restarts and trace.restarts == restarts
+        w0 = nu0 + rho * (d @ solve_x(nu0, z0))
+        dual = iterate(dual_step, w0, iters, "proposed", restart["restart"])
+        assert np.max(np.abs(dual.xs - (trace.iterates["nu_hat"]
+                                        + rho * (trace.iterates["x"][1:] @ d.T)))) <= 1e-10
+        assert dual.residuals == pytest.approx(trace.residuals, rel=1e-10, abs=1e-20)
+        assert dual.restarts and trace.restarts == dual.restarts
 
     def test_pdhg_interval_beyond_horizon_keeps_bound(self):
         inst = bilinear_game_instance(10, 5, 1)
@@ -862,7 +842,7 @@ class TestOneSignature:
                    operator_norm(problem[2]))
         engine, problem, start = cases["iterate"]
         with pytest.raises(TypeError):
-            engine(*problem, *start, 5, "plain", None, None, _euclidean_sq)
+            engine(*problem, *start, 5, "plain", None, None, None)
 
 
 BAD_STEPS = [float("nan"), float("inf"), 0.0, -1.0]
